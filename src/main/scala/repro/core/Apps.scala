@@ -65,15 +65,7 @@ object Apps {
       val dst = g.neighbor(e)
       if (dst == w.prev) return 1.0 / a
       // IsNeighbor(dst, prev): binary search in N_prev
-      val (found, probes) = g.isNeighborProbes(w.prev, dst)
-      var i = 0
-      while (i < probes.length) {
-        ctx.read(g.addrNeighbor(probes(i)))
-        ctx.compute(3)
-        ctx.mispredict(0.12)
-        i += 1
-      }
-      if (found) 1.0 else 1.0 / b
+      if (g.isNeighbor(w.prev, dst, ctx.neighborProbe)) 1.0 else 1.0 / b
     }
 
     override def maxWeight(g: CSRGraph): Double = maxW

@@ -57,6 +57,9 @@ final class RingEngine(
     else sim.cfg.switchInstr
 
   private final class Slot {
+    // Gather-buffer index, numbered in the order slots first gather; a
+    // slot whose walker starts on a zero-degree vertex gathers later.
+    var gatherId = -1
     var w: Walker = _
     var stage: Int = S_PF_OFF
     var d = 0
@@ -78,6 +81,7 @@ final class RingEngine(
 
   private var tComputeP = 0.0
   private var tInit = 0.0
+  private var gatherSlots = 0
 
   def run(walkers: Array[Walker]): EngineResult = {
     if (walkers.isEmpty)
@@ -186,7 +190,7 @@ final class RingEngine(
       case 6 /* S_ITS_SEARCH */ =>
         val mid = (s.lo + s.hi) >>> 1
         val cdfVal =
-          if (s.localSearch) { sim.read(gatherAddr(slotIndex(s), mid)); s.buf(mid) }
+          if (s.localSearch) { sim.read(gatherAddr(s.gatherId, mid)); s.buf(mid) }
           else { sim.read(g.addrCdf(s.base + mid)); tables.cdf(s.base + mid) }
         sim.compute(4); sim.mispredict(0.5)
         if (s.r < cdfVal) s.hi = mid else s.lo = mid + 1
@@ -196,7 +200,7 @@ final class RingEngine(
           s.stage = if (s.localSearch) S_DYN_FIN else S_ITS_FIN
         } else {
           val m2 = (s.lo + s.hi) >>> 1
-          if (s.localSearch) sim.prefetch(gatherAddr(slotIndex(s), m2), hint)
+          if (s.localSearch) sim.prefetch(gatherAddr(s.gatherId, m2), hint)
           else sim.prefetch(g.addrCdf(s.base + m2), hint)
         }
 
@@ -214,7 +218,7 @@ final class RingEngine(
       case 9 /* S_REJ_TRY */ =>
         val p =
           if (s.localSearch) { // dynamic REJ: probabilities live in the gather buffer
-            sim.read(gatherAddr(slotIndex(s), s.x)); sim.compute(3)
+            sim.read(gatherAddr(s.gatherId, s.x)); sim.compute(3)
             s.buf(s.x)
           } else {
             sim.read(g.addrWeight(s.base + s.x)); sim.compute(3)
@@ -261,9 +265,12 @@ final class RingEngine(
     */
   private def gatherAndInit(s: Slot): Unit = {
     val w = s.w
-    if (s.buf == null) s.buf = new Array[Double](g.maxDegree + 1)
+    if (s.buf == null) {
+      s.buf = new Array[Double](g.maxDegree + 1)
+      s.gatherId = gatherSlots; gatherSlots += 1
+    }
     val c0 = sim.cycles
-    val sum = gather(slotIndex(s), w, s.base, s.d, s.buf)
+    val sum = gather(s.gatherId, w, s.base, s.d, s.buf)
     tComputeP += sim.cycles - c0
     if (sum <= 0.0) { w.done = true; return }
     sampling match {
@@ -279,7 +286,7 @@ final class RingEngine(
           sim.prefetch(g.addrNeighbor(s.chosen), hint)
           s.stage = S_DYN_FIN
         } else {
-          sim.prefetch(gatherAddr(slotIndex(s), (s.lo + s.hi) >>> 1), hint)
+          sim.prefetch(gatherAddr(s.gatherId, (s.lo + s.hi) >>> 1), hint)
           s.stage = S_ITS_SEARCH
         }
       case SamplingMethod.ALIAS =>
@@ -290,7 +297,7 @@ final class RingEngine(
         tInit += sim.cycles - i0
         s.x = w.rng.nextInt(s.d); sim.compute(8)
         s.y = w.rng.nextDouble(); sim.compute(8)
-        sim.read(gatherAddr(slotIndex(s), s.x)); sim.compute(4)
+        sim.read(gatherAddr(s.gatherId, s.x)); sim.compute(4)
         val local = if (s.y < s.h(s.x) || s.hSecond(s.x) < 0) s.hFirst(s.x) else s.hSecond(s.x)
         s.chosen = s.base + local
         sim.prefetch(g.addrNeighbor(s.chosen), hint)
@@ -309,14 +316,6 @@ final class RingEngine(
   @inline private def rejDrawLocal(s: Slot): Unit = {
     s.x = s.w.rng.nextInt(s.d); sim.compute(8)
     s.y = s.w.rng.nextDouble() * s.mx; sim.compute(8)
-    sim.prefetch(gatherAddr(slotIndex(s), s.x), hint)
-  }
-
-  // Slot identity for gather-buffer addressing.
-  private val slotIds = new java.util.IdentityHashMap[Slot, Integer]()
-  private def slotIndex(s: Slot): Int = {
-    var id = slotIds.get(s)
-    if (id == null) { id = slotIds.size(); slotIds.put(s, id) }
-    id.intValue()
+    sim.prefetch(gatherAddr(s.gatherId, s.x), hint)
   }
 }

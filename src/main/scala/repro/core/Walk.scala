@@ -37,4 +37,13 @@ final class SimCtx(val sim: MemSim, val g: CSRGraph) {
     if (streaming) sim.streamRead(addr) else sim.read(addr)
   @inline def compute(n: Int): Unit = sim.compute(n)
   @inline def mispredict(p: Double): Unit = sim.mispredict(p)
+
+  /** Charge for one probe of [[CSRGraph.isNeighbor]]: load the neighbor
+    * id, compare, and a branch mispredicted 12% of the time.
+    */
+  val neighborProbe: Int => Unit = e => {
+    read(g.addrNeighbor(e))
+    compute(3)
+    mispredict(0.12)
+  }
 }

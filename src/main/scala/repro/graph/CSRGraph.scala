@@ -31,22 +31,22 @@ final class CSRGraph(
   @inline def label(e: Int): Int = if (hasLabels) labels(e) else 0
 
   /** Binary search: is `u` a neighbor of `v`? Neighbor lists are sorted by
-    * the builder; used by Node2Vec's distance check. Returns the probe
-    * sequence length so callers can charge the simulator per probe.
+    * the builder; used by Node2Vec's distance check. Each probed edge
+    * index is passed to `probe`, in order, so callers can charge the
+    * simulator per probe without allocating.
     */
-  def isNeighborProbes(v: Int, u: Int): (Boolean, Array[Int]) = {
+  def isNeighbor(v: Int, u: Int, probe: Int => Unit = _ => ()): Boolean = {
     var lo = offsets(v)
     var hi = offsets(v + 1) - 1
-    val probes = scala.collection.mutable.ArrayBuffer.empty[Int]
     while (lo <= hi) {
       val mid = (lo + hi) >>> 1
-      probes += mid
+      probe(mid)
       val nv = neighbors(mid)
-      if (nv == u) return (true, probes.toArray)
+      if (nv == u) return true
       else if (nv < u) lo = mid + 1
       else hi = mid - 1
     }
-    (false, probes.toArray)
+    false
   }
 
   def maxDegree: Int = {

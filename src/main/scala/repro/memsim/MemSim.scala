@@ -1,7 +1,5 @@
 package repro.memsim
 
-import scala.collection.mutable
-
 /** Configuration of the simulated memory hierarchy and pipeline cost model.
   *
   * Capacities are scaled down from the paper's Xeon W-2155 (32 KB / 1 MB /
@@ -54,8 +52,12 @@ object PrefetchHint extends Enumeration {
   * the earliest completion. A demand `read` of a prefetched line pays only
   * the residual latency — this is exactly the mechanism step interleaving
   * exploits.
+  *
+  * Every access probes L1 → L2 → L3 once (`locate`) and fills the missing
+  * levels from the recorded ways, so no set is scanned twice.
   */
 final class MemSim(val cfg: MemConfig = MemConfig()) {
+  require(cfg.mshrs >= 1, s"mshrs ${cfg.mshrs} must be at least 1")
   val l1 = new CacheSim(cfg.l1Bytes, cfg.l1Ways, cfg.lineBytes)
   val l2 = new CacheSim(cfg.l2Bytes, cfg.l2Ways, cfg.lineBytes)
   val l3 = new CacheSim(cfg.l3Bytes, cfg.l3Ways, cfg.lineBytes)
@@ -68,18 +70,29 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
   var badSpecCycles: Double = 0.0
   var dramLines: Long = 0L
 
-  // line -> (completion cycle, extra demand-use cost) of a prefetch
-  private val prefetchReady = new mutable.LongMap[(Double, Int)]()
+  private val prefetchReady = new PrefetchTable()
 
   // Diagnostic tallies (not part of the cost model).
   var dbgResidualStall: Double = 0.0
   var dbgEvictStall: Double = 0.0
   var dbgDemandStall: Double = 0.0
   var dbgEvictRefetch: Long = 0L
-  // completion cycles of in-flight fills (MSHR occupancy model)
-  private val inflight = mutable.ArrayBuffer.empty[Double]
 
-  @inline private def line(addr: Long): Long = addr / cfg.lineBytes
+  // Completion cycles of in-flight fills (MSHR occupancy model), sorted
+  // ascending in inflight(head until tail). The window can exceed `mshrs`
+  // entries: a queued prefetch completes after the clock it was issued at.
+  private var inflight = new Array[Double](2 * cfg.mshrs)
+  private var head = 0
+  private var tail = 0
+
+  private val lineShift = l1.lineShift
+
+  // Ways recorded by the last locate(): a slot index, -1 if the level
+  // misses, or NotProbed when an inner level hit first.
+  private var w1 = 0
+  private var w2 = 0
+  private var w3 = 0
+  private final val NotProbed = -2
 
   /** Retire `n` instructions of straight-line computation. */
   @inline def compute(n: Int): Unit = {
@@ -99,38 +112,59 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     cycles += c
   }
 
+  /** Drop the fills that completed by now: a prefix of the sorted window. */
   private def purgeInflight(): Unit = {
-    var i = 0
-    while (i < inflight.length) {
-      if (inflight(i) <= cycles) { inflight.remove(i) } else i += 1
-    }
+    while (head < tail && inflight(head) <= cycles) head += 1
+    if (head == tail) { head = 0; tail = 0 }
   }
 
-  /** Miss latency of `addr` given current cache contents (no state change). */
-  private def missLatency(addr: Long): Int =
-    if (l1.contains(addr)) 0
-    else if (l2.contains(addr)) cfg.latL2
-    else if (l3.contains(addr)) cfg.latL3
-    else cfg.latDram
+  private def addInflight(ready: Double): Unit = {
+    if (tail == inflight.length) {
+      val n = tail - head
+      val dst = if (2 * n > inflight.length) new Array[Double](2 * inflight.length) else inflight
+      System.arraycopy(inflight, head, dst, 0, n)
+      inflight = dst; head = 0; tail = n
+    }
+    var j = tail
+    while (j > head && inflight(j - 1) > ready) { inflight(j) = inflight(j - 1); j -= 1 }
+    inflight(j) = ready
+    tail += 1
+  }
 
-  private def fillAll(addr: Long): Unit = { l3.fill(addr); l2.fill(addr); l1.fill(addr) }
+  /** Probe L1, then L2, then L3, stopping at the first level holding
+    * `ln`; records the way at each level and returns the latency of the
+    * level that serves the line (0 for an L1 hit). No state changes.
+    */
+  private def locate(ln: Long): Int = {
+    w1 = l1.find(ln)
+    if (w1 >= 0) { w2 = NotProbed; w3 = NotProbed; return 0 }
+    w2 = l2.find(ln)
+    if (w2 >= 0) { w3 = NotProbed; return cfg.latL2 }
+    w3 = l3.find(ln)
+    if (w3 >= 0) cfg.latL3 else cfg.latDram
+  }
+
+  /** Fill L3 and L2 with `ln` after `locate(ln)` missed L1. */
+  private def fillOuter(ln: Long): Unit = {
+    val i3 = if (w3 == NotProbed) l3.find(ln) else w3
+    if (i3 >= 0) l3.touch(i3) else l3.insert(ln)
+    if (w2 >= 0) l2.touch(w2) else l2.insert(ln)
+  }
 
   /** Issue a software prefetch (1 instruction, non-blocking). */
   def prefetch(addr: Long, hint: PrefetchHint.Value = PrefetchHint.T0): Unit = {
     compute(1)
-    val ln = line(addr)
-    if (l1.contains(addr)) return // already resident, nothing to do
-    val lat = missLatency(addr)
+    val ln = addr >> lineShift
+    val lat = locate(ln)
+    if (w1 >= 0) return // already resident, nothing to do
     if (lat == cfg.latDram) dramLines += 1
     purgeInflight()
     var start = cycles
-    if (inflight.length >= cfg.mshrs) {
-      // wait for enough in-flight fills to drain
-      val sorted = inflight.sorted
-      start = math.max(start, sorted(inflight.length - cfg.mshrs))
-    }
+    val n = tail - head
+    // wait for enough in-flight fills to drain
+    if (n >= cfg.mshrs) start = math.max(start, inflight(head + n - cfg.mshrs))
     val ready = start + lat
-    inflight += ready
+    addInflight(ready)
     // The extra demand cost models where the line lands: T0 puts it in L1
     // (free on use), T1/T2 leave it in L2/L3 (a small, partially OOO-hidden
     // hit on use), NTA lands in L1 but bypasses L2/L3 so evicted lines must
@@ -141,11 +175,9 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
       case PrefetchHint.T2  => 6 // L3 hit on use, partly hidden
       case PrefetchHint.NTA => 0
     }
-    prefetchReady(ln) = (ready, extra)
-    hint match {
-      case PrefetchHint.T0 | PrefetchHint.T1 | PrefetchHint.T2 => fillAll(addr)
-      case PrefetchHint.NTA                                    => l1.fill(addr)
-    }
+    prefetchReady.put(ln, ready, extra)
+    if (hint != PrefetchHint.NTA) fillOuter(ln)
+    l1.insert(ln)
   }
 
   /** Dependent (pointer-chasing) read: pays full miss latency, or the
@@ -153,35 +185,32 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     */
   def read(addr: Long): Unit = {
     compute(1)
-    val ln = line(addr)
-    prefetchReady.get(ln) match {
-      case Some((ready, extra)) =>
-        prefetchReady -= ln
-        var stall = math.max(0.0, ready - cycles) + extra
-        dbgResidualStall += stall
-        // A prefetched line evicted from L1 before use (ring too large for
-        // the L1 working set, §5.4) pays the refetch from wherever it
-        // still lives — the mechanism that bounds the optimal ring size.
-        if (!l1.contains(addr)) {
-          val lat = missLatency(addr)
-          if (lat == cfg.latDram) dramLines += 1
-          stall += lat
-          dbgEvictStall += lat
-          dbgEvictRefetch += 1
-          fillAll(addr)
-        }
-        if (stall > 0) { memStallCycles += stall; cycles += stall }
-        l1.access(addr)
-        ()
-      case None =>
-        val lat = missLatency(addr)
-        if (!l1.access(addr)) {
-          if (lat == cfg.latDram) dramLines += 1
-          fillAll(addr)
-          memStallCycles += lat
-          cycles += lat
-          dbgDemandStall += lat
-        }
+    val ln = addr >> lineShift
+    val p = prefetchReady.find(ln)
+    val lat = locate(ln)
+    if (p >= 0) {
+      var stall = math.max(0.0, prefetchReady.ready(p) - cycles) + prefetchReady.extra(p)
+      prefetchReady.removeAt(p)
+      dbgResidualStall += stall
+      // A prefetched line evicted from L1 before use (ring too large for
+      // the L1 working set, §5.4) pays the refetch from wherever it
+      // still lives — the mechanism that bounds the optimal ring size.
+      if (w1 < 0) {
+        if (lat == cfg.latDram) dramLines += 1
+        stall += lat
+        dbgEvictStall += lat
+        dbgEvictRefetch += 1
+        fillOuter(ln)
+        w1 = l1.insert(ln)
+      }
+      if (stall > 0) { memStallCycles += stall; cycles += stall }
+      l1.accessAt(w1, ln)
+    } else if (!l1.accessAt(w1, ln)) {
+      if (lat == cfg.latDram) dramLines += 1
+      fillOuter(ln)
+      memStallCycles += lat
+      cycles += lat
+      dbgDemandStall += lat
     }
   }
 
@@ -193,10 +222,11 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     */
   def readOverlapped(addr: Long, mlp: Int = 6): Unit = {
     compute(1)
-    val lat = missLatency(addr)
-    if (!l1.access(addr)) {
+    val ln = addr >> lineShift
+    val lat = locate(ln)
+    if (!l1.accessAt(w1, ln)) {
       if (lat == cfg.latDram) dramLines += 1
-      fillAll(addr)
+      fillOuter(ln)
       val c = lat.toDouble / mlp
       memStallCycles += c
       cycles += c
@@ -208,8 +238,9 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     */
   def streamRead(addr: Long): Unit = {
     compute(1)
-    val lat = missLatency(addr) // probe before access() fills the line
-    if (!l1.access(addr)) {
+    val ln = addr >> lineShift
+    val lat = locate(ln)
+    if (!l1.accessAt(w1, ln)) {
       if (lat == cfg.latDram) {
         dramLines += 1
         memStallCycles += cfg.streamStall
@@ -219,7 +250,7 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
         memStallCycles += c
         cycles += c
       }
-      fillAll(addr)
+      fillOuter(ln)
     }
   }
 
@@ -229,10 +260,11 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     */
   def streamWrite(addr: Long): Unit = {
     compute(1)
-    val lat = missLatency(addr)
-    if (!l1.access(addr)) {
+    val ln = addr >> lineShift
+    val lat = locate(ln)
+    if (!l1.accessAt(w1, ln)) {
       if (lat == cfg.latDram) dramLines += 1
-      fillAll(addr)
+      fillOuter(ln)
     }
   }
 
@@ -250,7 +282,7 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     cycles = 0; instructions = 0; computeCycles = 0
     memStallCycles = 0; coreStallCycles = 0; badSpecCycles = 0
     dramLines = 0
-    prefetchReady.clear(); inflight.clear()
+    prefetchReady.clear(); head = 0; tail = 0
   }
 }
 

@@ -92,7 +92,7 @@ class AppsSpec extends SparkSpec with GraphFixtures {
       val wts = (0 until d).map { i =>
         val dst = g.neighbor(base + i)
         if (dst == v0) 1.0 / a
-        else if (g.isNeighborProbes(v0, dst)._1) 1.0
+        else if (g.isNeighbor(v0, dst)) 1.0
         else 1.0 / b
       }
       val sumW = wts.sum
@@ -125,7 +125,7 @@ class AppsSpec extends SparkSpec with GraphFixtures {
       val dst = g.neighbor(curBase + i)
       val expected =
         if (dst == v0) 0.5
-        else if (g.isNeighborProbes(v0, dst)._1) 1.0
+        else if (g.isNeighbor(v0, dst)) 1.0
         else 2.0
       assert(app.weight(ctx, g, w2, curBase + i) == expected)
     }

@@ -75,7 +75,7 @@ class EngineEquivalenceSpec extends SparkSpec with GraphFixtures {
     val ws = walks(new Apps.DeepWalk(20), SamplingMethod.ALIAS, EngineKind.Interleaved, 50, 16)
     ws.foreach { p =>
       p.sliding(2).foreach {
-        case Seq(u, v) => assert(g.isNeighborProbes(u, v)._1, s"no edge $u->$v")
+        case Seq(u, v) => assert(g.isNeighbor(u, v), s"no edge $u->$v")
         case _         =>
       }
     }

@@ -49,15 +49,19 @@ class GraphSpec extends SparkSpec with GraphFixtures {
     assert(g.label(g.edgeBegin(1)) == 4)
   }
 
-  test("isNeighborProbes finds present and absent neighbors") {
+  test("isNeighbor finds present and absent neighbors") {
     val g = explicitGraph(6, Seq((0, 1, 1f, 0), (0, 3, 1f, 0), (0, 5, 1f, 0)))
-    assert(g.isNeighborProbes(0, 3)._1)
-    assert(g.isNeighborProbes(0, 1)._1)
-    assert(g.isNeighborProbes(0, 5)._1)
-    assert(!g.isNeighborProbes(0, 2)._1)
-    assert(!g.isNeighborProbes(0, 0)._1)
+    assert(g.isNeighbor(0, 3))
+    assert(g.isNeighbor(0, 1))
+    assert(g.isNeighbor(0, 5))
+    assert(!g.isNeighbor(0, 2))
+    assert(!g.isNeighbor(0, 0))
     // probe count bounded by ceil(log2(d)) + 1
-    assert(g.isNeighborProbes(0, 2)._2.length <= 3)
+    val probes = scala.collection.mutable.ArrayBuffer.empty[Int]
+    assert(!g.isNeighbor(0, 2, e => probes += e))
+    assert(probes.length <= 3)
+    // probes are binary-search midpoints over v's edge range
+    assert(probes.toSeq == Seq(1, 0))
   }
 
   test("degree/maxDegree/avgDegree/memoryBytes are consistent") {

@@ -58,6 +58,27 @@ class CacheSimSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new CacheSim(1000, 4))
   }
 
+  test("rejects a set count or line size that is not a power of two") {
+    val sets = intercept[IllegalArgumentException](new CacheSim(3 * 4 * 64, 4)) // 3 sets
+    assert(sets.getMessage.contains("set count 3") && sets.getMessage.contains("power of two"))
+    val line = intercept[IllegalArgumentException](new CacheSim(48 * 4 * 4, 4, lineBytes = 48))
+    assert(line.getMessage.contains("line size 48") && line.getMessage.contains("power of two"))
+    new CacheSim(3 * 4 * 64, 3) // 4 sets of 3 ways: associativity need not be a power of two
+  }
+
+  test("a fill hit keeps the stamp, so the next miss evicts the first oldest way") {
+    // 4 sets; lines 0, 4, 8, 12, 16 all map to set 0.
+    val c = new CacheSim(1024, 4)
+    val Seq(a, b, cc, d, e) = (0 until 5).map(i => i * 4 * 64L)
+    Seq(a, b, cc, d).foreach(c.fill) // stamps 1, 2, 3, 4 in ways 0..3
+    c.fill(a) // hit: way 0 takes stamp 4 without advancing it -> ties with d
+    c.access(b); c.access(cc) // stamps 5, 6
+    assert(!c.access(e))
+    // Ways 0 (a) and 3 (d) tie on the minimum; the first one is evicted.
+    assert(!c.contains(a))
+    assert(c.contains(d) && c.contains(b) && c.contains(cc) && c.contains(e))
+  }
+
   test("LRU is per-set: hot line survives heavy traffic in other sets") {
     val c = new CacheSim(1024, 4)
     c.access(0L) // set 0

@@ -80,6 +80,73 @@ class MemSimSpec extends AnyFunSuite {
     assert(total > m.cfg.latDram)
   }
 
+  test("MSHR wait picks the right completion when more than mshrs fills are in flight") {
+    val cfg = MemConfig(mshrs = 2)
+    val lines = (0 until 6).map(i => (1000 + 37 * i) * 64L)
+    // Five DRAM prefetches 0.5 cycles apart (one instruction each at IPC 2):
+    // the 3rd waits for the 1st completion, the 4th for the 2nd, the 5th
+    // for the 3rd — the window holds more than `mshrs` fills meanwhile.
+    def issue(m: MemSim): Unit = lines.take(5).foreach(a => m.prefetch(a))
+    val expected = Seq(200.5, 201.0, 400.5, 401.0, 600.5)
+    for ((a, want) <- lines.zip(expected)) {
+      val m = new MemSim(cfg)
+      issue(m)
+      val before = m.memStallCycles
+      m.read(a) // at cycle 3.0, before any of them completes
+      assert(m.memStallCycles - before == want - 3.0, s"line $a")
+    }
+    // Completed fills leave the window: at 402.0 only the 600.5 fill is
+    // left, so a new prefetch starts at once.
+    val m = new MemSim(cfg)
+    issue(m)
+    m.compute(2 * 399) // cycle 401.5
+    m.prefetch(lines(5)) // cycle 402.0, ready 602.0
+    val before = m.memStallCycles
+    m.read(lines(5)) // cycle 402.5
+    assert(m.memStallCycles - before == 199.5)
+  }
+
+  test("pending-prefetch table matches a HashMap under random put/find/remove") {
+    for (seed <- 0 until 20) {
+      val rng = new java.util.SplittableRandom(seed)
+      val t = new PrefetchTable(initialCapacity = 2)
+      val ref = scala.collection.mutable.HashMap.empty[Long, (Double, Int)]
+      val keySpace = 50 + rng.nextInt(400)
+      for (_ <- 0 until 5000) {
+        val k = rng.nextInt(keySpace).toLong * (1 + rng.nextInt(3))
+        rng.nextInt(3) match {
+          case 0 | 1 =>
+            val v = (rng.nextDouble(), rng.nextInt(7))
+            t.put(k, v._1, v._2); ref(k) = v
+          case _ =>
+            val i = t.find(k)
+            assert((i >= 0) == ref.contains(k))
+            if (i >= 0) {
+              assert((t.ready(i), t.extra(i)) == ref(k))
+              t.removeAt(i); ref -= k
+            }
+        }
+        assert(t.size == ref.size)
+      }
+      for ((k, v) <- ref) { val i = t.find(k); assert(i >= 0 && (t.ready(i), t.extra(i)) == v) }
+      assert(t.capacity > 2)
+    }
+  }
+
+  test("pending-prefetch table: deleting inside a run that wraps past the end keeps it reachable") {
+    val t = new PrefetchTable(initialCapacity = 8)
+    val last = t.capacity - 1
+    val ks = Iterator.from(0).map(_.toLong).filter(t.home(_) == last).take(3).toSeq
+    ks.zipWithIndex.foreach { case (k, i) => t.put(k, i.toDouble, i) } // slots 7, 0, 1
+    assert(t.capacity == 8 && t.find(ks(1)) == 0 && t.find(ks(2)) == 1)
+    t.removeAt(t.find(ks(0)))
+    assert(t.find(ks(0)) == -1)
+    assert(t.find(ks(1)) == last && t.ready(t.find(ks(1))) == 1.0)
+    assert(t.find(ks(2)) == 0 && t.extra(t.find(ks(2))) == 2)
+    t.clear()
+    assert(t.size == 0 && ks.forall(t.find(_) == -1))
+  }
+
   test("streamRead charges the amortised stream stall, not full DRAM latency") {
     val m = fresh()
     m.streamRead(0L)
