@@ -155,7 +155,7 @@ final class SequentialEngine(
     val stats = sim.snapshot() - t0
     val steps = walkers.map(_.length.toLong).sum
     val other = math.max(0.0, stats.cycles - tComputeP - tInit - tGen)
-    EngineResult(walkers.map(_.path.toArray), stats, steps,
+    EngineResult(walkers.map(_.path), stats, steps,
       PhaseBreakdown(tComputeP, tInit, tGen, other))
   }
 

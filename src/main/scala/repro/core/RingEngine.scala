@@ -110,7 +110,7 @@ final class RingEngine(
     val stats = sim.snapshot() - t0
     val steps = walkers.map(_.length.toLong).sum
     val other = math.max(0.0, stats.cycles - tComputeP - tInit)
-    EngineResult(walkers.map(_.path.toArray), stats, steps,
+    EngineResult(walkers.map(_.path), stats, steps,
       PhaseBreakdown(tComputeP, tInit, other, 0.0))
   }
 

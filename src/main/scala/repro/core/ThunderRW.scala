@@ -1,9 +1,13 @@
 package repro.core
 
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.graph.CSRGraph
 import repro.memsim.{MemConfig, MemSim, PrefetchHint, SimStats}
 import repro.sampling.{SamplingMethod, StaticTables, WalkerType}
+
+import scala.collection.immutable.ArraySeq
 
 /** Engine flavours. */
 object EngineKind extends Enumeration {
@@ -37,10 +41,11 @@ final case class RunSummary(
   }
 }
 
-/** ThunderRW's top level: partitions the query set over simulated workers
-  * (the paper's static scheduling, §4.2) and runs one engine per Spark
-  * partition via the Dataset API; results come back as Datasets of walks
-  * plus per-worker simulator statistics.
+/** ThunderRW's top level: splits the query set into contiguous id blocks,
+  * one per simulated worker (the paper's static scheduling, §4.2), and runs
+  * one engine per block in a single-stage Spark job over a broadcast CSR
+  * graph. Results come back as walks in id order plus per-worker simulator
+  * statistics; `walksToSteps` turns walks into a Dataset for analysis.
   */
 object ThunderRW {
 
@@ -90,6 +95,14 @@ object ThunderRW {
 
   /** Distributed run: `nQueries` walkers, `sources(i)` the start vertex of
     * walker i, split over `threads` simulated workers (Spark partitions).
+    * Worker t runs ids `[t·n/threads, (t+1)·n/threads)` in ascending order,
+    * as OpenMP's `schedule(static)` would, so the split and every simulated
+    * number are independent of the host's core count. A worker with no ids
+    * yields no [[PartResult]]; walks come back in ascending id order.
+    *
+    * The graph broadcast is cached across calls on the same context and
+    * graph (see `graphBroadcast`), so runs on one session must not overlap
+    * on different graphs.
     */
   def run(spark: SparkSession, g: CSRGraph, app: RandomWalkApp,
           sampling: SamplingMethod.Value, kind: EngineKind.Value,
@@ -98,7 +111,8 @@ object ThunderRW {
           hint: PrefetchHint.Value = PrefetchHint.T0,
           overhead: Overhead = Overhead(), seed: Long = 2021L,
           keepWalks: Boolean = true): RunSummary = {
-    import spark.implicits._
+    require(threads >= 1, s"threads must be at least 1, got $threads")
+    require(nQueries >= 0, s"nQueries must be non-negative, got $nQueries")
     require(sources.length >= nQueries, "need a source per query")
 
     val (tables, preprocCycles) = preprocess(g, app, sampling, cfg)
@@ -106,30 +120,57 @@ object ThunderRW {
     // systems run it on all threads.
     val preprocSeconds = preprocCycles / (cfg.freqGhz * 1e9) / threads
 
-    val bg = spark.sparkContext.broadcast(g)
-    val bt = spark.sparkContext.broadcast(tables)
-    val bs = spark.sparkContext.broadcast(sources)
-
-    val parts = spark.range(nQueries).repartition(threads)
-      .mapPartitions { it =>
-        val ids = it.map(_.toInt).toArray
-        if (ids.isEmpty) Iterator.empty
+    val sc = spark.sparkContext
+    val bg = graphBroadcast(sc, g)
+    val bt = Option(tables).map(sc.broadcast(_))
+    // One (first id, sources) block per worker; parallelize puts exactly
+    // one element in each of `threads` slices.
+    val blocks = (0 until threads).map { t =>
+      val lo = (t.toLong * nQueries / threads).toInt
+      val hi = ((t + 1).toLong * nQueries / threads).toInt
+      (lo, java.util.Arrays.copyOfRange(sources, lo, hi))
+    }
+    val parts =
+      try sc.parallelize(blocks, threads).flatMap { case (lo, src) =>
+        if (src.isEmpty) None
         else {
-          val walkers = makeWalkers(ids.toSeq, bs.value, seed)
-          val res = runLocal(bg.value, app, sampling, kind, bt.value, walkers,
+          val walkers = Array.tabulate(src.length)(i => new Walker(lo + i, src(i), seed))
+          val res = runLocal(bg.value, app, sampling, kind, bt.map(_.value).orNull, walkers,
             cfg, taskRing, hint, overhead)
           val walks =
-            if (keepWalks)
-              walkers.map(w => WalkRow(w.id.toLong, w.source, w.length, w.path.toSeq)).toSeq
+            if (keepWalks) walkers.indices.map { i =>
+              val w = walkers(i)
+              WalkRow(w.id.toLong, w.source, w.length, ArraySeq.unsafeWrapArray(res.walks(i)))
+            }
             else Seq.empty[WalkRow]
-          Iterator.single(PartResult(res.stats, res.steps,
+          Some(PartResult(res.stats, res.steps,
             res.phases.computeP, res.phases.init, res.phases.gen, res.phases.other,
             walks))
         }
       }.collect().toSeq
-
-    bg.destroy(); bt.destroy(); bs.destroy()
+      finally bt.foreach(_.destroy())
     RunSummary(parts.flatMap(_.walks), parts, preprocSeconds)
+  }
+
+  // One-slot cache of the CSR broadcast, keyed by reference identity on
+  // (context, graph). Table 6 loops with the dataset outermost, so one slot
+  // serves every cell of a dataset.
+  private var graphSlot: (SparkContext, CSRGraph, Broadcast[CSRGraph]) = _
+
+  /** The broadcast of `g` on `sc`: reused while both stay the same and `sc`
+    * is live; otherwise the old one is destroyed (if its context still runs)
+    * and replaced.
+    */
+  private def graphBroadcast(sc: SparkContext, g: CSRGraph): Broadcast[CSRGraph] = synchronized {
+    val slot = graphSlot
+    if (slot != null && (slot._1 eq sc) && (slot._2 eq g) && !sc.isStopped) slot._3
+    else {
+      graphSlot = null
+      if (slot != null && !slot._1.isStopped) slot._3.destroy()
+      val b = sc.broadcast(g)
+      graphSlot = (sc, g, b)
+      b
+    }
   }
 
   /** Walk output as a DataFrame-friendly Dataset for downstream analysis

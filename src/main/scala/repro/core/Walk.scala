@@ -14,9 +14,10 @@ final class Walker(val id: Int, val source: Int, seedBase: Long) {
   val rng = new java.util.SplittableRandom(seedBase ^ (id * 0x9E3779B97F4A7C15L))
   var cur: Int = source
   var prev: Int = -1
-  var length: Int = 0 // steps taken; path has length+1 vertices
-  val path = new scala.collection.mutable.ArrayBuffer[Int](16)
-  path += source
+  var length: Int = 0 // steps taken; the walk has length+1 vertices
+  // Unboxed, growable: vertex i of the walk is visited(i) for i <= length.
+  private var visited = new Array[Int](16)
+  visited(0) = source
   var done: Boolean = false
 
   /** The engine moves the walker along edge `e` to vertex `v`. */
@@ -24,8 +25,14 @@ final class Walker(val id: Int, val source: Int, seedBase: Long) {
     prev = cur
     cur = v
     length += 1
-    path += v
+    if (length == visited.length) visited = java.util.Arrays.copyOf(visited, 2 * length)
+    visited(length) = v
   }
+
+  /** The vertex sequence so far, source first: a fresh copy of
+    * `length + 1` vertices.
+    */
+  def path: Array[Int] = java.util.Arrays.copyOf(visited, length + 1)
 }
 
 /** Charging context handed to user-defined functions: dispatches reads as

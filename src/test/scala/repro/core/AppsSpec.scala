@@ -156,7 +156,7 @@ class AppsSpec extends SparkSpec with GraphFixtures {
     val app = new Apps.MetaPath(Array(0, 1), 10) // second step needs label 1: absent
     val walkers = ThunderRW.makeWalkers(Seq(0), Array(0), seed = 5L)
     ThunderRW.runLocal(gg, app, SamplingMethod.ITS, EngineKind.Sequential, null, walkers, cfg)
-    assert(walkers.head.length == 1, s"walk=${walkers.head.path}")
+    assert(walkers.head.length == 1, s"walk=${walkers.head.path.mkString(",")}")
   }
 
   test("MetaPath factory builds a schema inside the label range") {

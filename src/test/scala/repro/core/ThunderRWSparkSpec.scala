@@ -2,24 +2,76 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{GraphFixtures, Oracle, SparkSpec}
-import repro.memsim.MemConfig
+import repro.graph.CSRGraph
+import repro.memsim.{MemConfig, SimStats}
 import repro.sampling.SamplingMethod
 
-/** End-to-end Spark runs: partitioned execution over the Dataset API,
-  * equivalence with the single-worker path, and DuckDB oracle checks on
-  * walk-output DataFrame queries.
+/** End-to-end Spark runs: static id blocks per worker, equivalence with the
+  * single-worker path, the cached graph broadcast, and DuckDB oracle checks
+  * on walk-output DataFrame queries.
   */
 class ThunderRWSparkSpec extends SparkSpec with GraphFixtures {
 
   private lazy val g = tinyGraph(n = 300, e = 2000, seed = 71L)
   private val cfg = MemConfig()
 
-  private def sparkRun(n: Int, threads: Int, kind: EngineKind.Value = EngineKind.Interleaved) = {
-    val app = new Apps.DeepWalk(12)
+  private def randomSources(graph: CSRGraph, n: Int): Array[Int] = {
     val rng = new java.util.SplittableRandom(2L)
-    val src = Array.fill(n)(rng.nextInt(g.numVertices))
-    ThunderRW.run(spark, g, app, SamplingMethod.ALIAS, kind, n, src,
-      threads = threads, cfg = cfg)
+    Array.fill(n)(rng.nextInt(graph.numVertices))
+  }
+
+  private def sparkRun(n: Int, threads: Int, kind: EngineKind.Value = EngineKind.Interleaved,
+                       graph: CSRGraph = g) =
+    ThunderRW.run(spark, graph, new Apps.DeepWalk(12), SamplingMethod.ALIAS, kind, n,
+      randomSources(graph, n), threads = threads, cfg = cfg)
+
+  private def sameBits(a: SimStats, b: SimStats): Boolean = {
+    def bits(s: SimStats) = Seq(s.cycles, s.computeCycles, s.memStallCycles, s.coreStallCycles,
+      s.badSpecCycles, s.freqGhz).map(java.lang.Double.doubleToLongBits)
+    bits(a) == bits(b) && a.instructions == b.instructions && a.dramLines == b.dramLines &&
+      a.pipelineWidth == b.pipelineWidth && a.lineBytes == b.lineBytes
+  }
+
+  for ((n, threads) <- Seq((100, 1), (100, 3), (5, 8))) {
+    test(s"worker t runs ids [t*n/threads, (t+1)*n/threads): n=$n threads=$threads") {
+      val sum = sparkRun(n, threads)
+      assert(sum.walks.map(_.id) == (0L until n.toLong), "walks not in ascending id order")
+      val app = new Apps.DeepWalk(12)
+      val (t, _) = ThunderRW.preprocess(g, app, SamplingMethod.ALIAS, cfg, charge = false)
+      val src = randomSources(g, n)
+      val blocks = (0 until threads).map(w => (w * n / threads, (w + 1) * n / threads))
+        .filter { case (lo, hi) => hi > lo }
+      assert(sum.parts.size == blocks.size, "an empty worker must give no PartResult")
+      for (((lo, hi), part) <- blocks.zip(sum.parts)) {
+        val walkers = ThunderRW.makeWalkers(lo until hi, src, seed = 2021L)
+        val local = ThunderRW.runLocal(g, app, SamplingMethod.ALIAS, EngineKind.Interleaved, t,
+          walkers, cfg)
+        assert(sameBits(part.stats, local.stats), s"block [$lo, $hi): ${part.stats} != ${local.stats}")
+        assert(part.steps == local.steps)
+        assert(part.walks.map(_.path) == local.walks.map(_.toSeq).toSeq)
+      }
+    }
+  }
+
+  test("a run on a second graph does not reuse the first graph's broadcast") {
+    val other = tinyGraph(n = 120, e = 700, seed = 72L)
+    val a1 = sparkRun(60, threads = 3)
+    val b = sparkRun(60, threads = 3, graph = other)
+    val a2 = sparkRun(60, threads = 3)
+    assert(a1 == a2)
+    for (w <- b.walks; i <- 1 until w.path.size)
+      assert(other.isNeighbor(w.path(i - 1), w.path(i)),
+        s"walk ${w.id}: ${w.path(i - 1)}->${w.path(i)} is not an edge of the second graph")
+  }
+
+  test("invalid thread or query counts fail early") {
+    val src = Array.fill(10)(1)
+    val e1 = intercept[IllegalArgumentException](ThunderRW.run(spark, g, new Apps.DeepWalk(5),
+      SamplingMethod.OREJ, EngineKind.Sequential, 10, src, threads = 0, cfg = cfg))
+    assert(e1.getMessage.contains("threads must be at least 1"))
+    val e2 = intercept[IllegalArgumentException](ThunderRW.run(spark, g, new Apps.DeepWalk(5),
+      SamplingMethod.OREJ, EngineKind.Sequential, -1, src, threads = 2, cfg = cfg))
+    assert(e2.getMessage.contains("nQueries must be non-negative"))
   }
 
   test("spark run returns one walk per query with correct sources") {
@@ -34,8 +86,7 @@ class ThunderRWSparkSpec extends SparkSpec with GraphFixtures {
     val n = 150
     val sum = sparkRun(n, threads = 5)
     val app = new Apps.DeepWalk(12)
-    val rng = new java.util.SplittableRandom(2L)
-    val src = Array.fill(n)(rng.nextInt(g.numVertices))
+    val src = randomSources(g, n)
     val (t, _) = ThunderRW.preprocess(g, app, SamplingMethod.ALIAS, cfg, charge = false)
     val walkers = ThunderRW.makeWalkers(0 until n, src, seed = 2021L)
     ThunderRW.runLocal(g, app, SamplingMethod.ALIAS, EngineKind.Interleaved, t, walkers, cfg)
