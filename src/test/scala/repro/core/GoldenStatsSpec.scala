@@ -16,15 +16,19 @@ class GoldenStatsSpec extends SparkSpec with GraphFixtures {
   private lazy val g: CSRGraph = tinyGraph(n = 2000, e = 12000, seed = 5L)
   private val cfg = MemConfig()
 
-  private def run(app: RandomWalkApp, m: SamplingMethod.Value, kind: EngineKind.Value,
-                  hint: PrefetchHint.Value = PrefetchHint.T0): SimStats = {
+  private def result(app: RandomWalkApp, m: SamplingMethod.Value, kind: EngineKind.Value,
+                     hint: PrefetchHint.Value = PrefetchHint.T0): EngineResult = {
     val (tables, _) = ThunderRW.preprocess(g, app, m, cfg, charge = false)
     val rng = new java.util.SplittableRandom(3L)
     val n = 300
     val sources = Array.fill(n)(rng.nextInt(g.numVertices))
     val walkers = ThunderRW.makeWalkers(0 until n, sources, seed = 99L)
-    ThunderRW.runLocal(g, app, m, kind, tables, walkers, cfg, taskRing = 64, hint = hint).stats
+    ThunderRW.runLocal(g, app, m, kind, tables, walkers, cfg, taskRing = 64, hint = hint)
   }
+
+  private def run(app: RandomWalkApp, m: SamplingMethod.Value, kind: EngineKind.Value,
+                  hint: PrefetchHint.Value = PrefetchHint.T0): SimStats =
+    result(app, m, kind, hint).stats
 
   private val apps: Seq[(String, () => RandomWalkApp, SamplingMethod.Value)] = Seq(
     ("PPR/NAIVE", () => new Apps.PPR(0.2), SamplingMethod.NAIVE),
@@ -43,6 +47,10 @@ class GoldenStatsSpec extends SparkSpec with GraphFixtures {
     (for (h <- Seq(PrefetchHint.T1, PrefetchHint.T2, PrefetchHint.NTA))
       yield (s"DeepWalk/ALIAS/Interleaved/$h",
         () => run(new Apps.DeepWalk(20), SamplingMethod.ALIAS, EngineKind.Interleaved, h)))
+
+  private val engineCases: Seq[(String, () => EngineResult)] =
+    for ((name, mk, m) <- apps; kind <- EngineKind.values.toSeq)
+      yield (s"$name/$kind", () => result(mk(), m, kind))
 
   /** A seeded mix of every MemSim operation and prefetch hint, with
     * prefetched lines read back after a random delay; uses a small cache
@@ -108,8 +116,42 @@ class GoldenStatsSpec extends SparkSpec with GraphFixtures {
     ("DeepWalk/ALIAS/Interleaved/NTA", 415331.0, 282000L, 141000.0, 274331.0, 0.0, 12381L),
   )
 
+  // (case, computeP, init, gen, other). Sequential pins all four phases bit
+  // for bit. The ring schedules pin computeP and init bit for bit, and
+  // gen + other to 1e-9 relative: their Move/other split may move, their sum
+  // may not.
+  private val goldenPhases: Seq[(String, Double, Double, Double, Double)] = Seq(
+    ("PPR/NAIVE/Sequential", 0.0, 0.0, 183813.0, 45777.0),
+    ("PPR/NAIVE/Interleaved", 0.0, 0.0, 35296.0, 0.0),
+    ("PPR/NAIVE/Amac", 0.0, 0.0, 46811.0, 0.0),
+    ("DeepWalk/ALIAS/Sequential", 0.0, 0.0, 688756.0, 109052.0),
+    ("DeepWalk/ALIAS/Interleaved", 0.0, 0.0, 176157.5, 0.0),
+    ("DeepWalk/ALIAS/Amac", 0.0, 0.0, 230146.5, 0.0),
+    ("DeepWalk/ITS/Sequential", 0.0, 0.0, 1653250.0, 167584.0),
+    ("DeepWalk/ITS/Interleaved", 0.0, 0.0, 577662.0, 0.0),
+    ("DeepWalk/ITS/Amac", 0.0, 0.0, 671933.0, 0.0),
+    ("DeepWalk/REJ/Sequential", 0.0, 0.0, 1209707.5, 160212.0),
+    ("DeepWalk/REJ/Interleaved", 0.0, 0.0, 370893.5, 0.0),
+    ("DeepWalk/REJ/Amac", 0.0, 0.0, 451819.5, 0.0),
+    ("DeepWalk/OREJ/Sequential", 492372.5, 0.0, 571260.5, 200147.5),
+    ("DeepWalk/OREJ/Interleaved", 84856.5, 0.0, 372554.0, 0.0),
+    ("DeepWalk/OREJ/Amac", 84856.5, 0.0, 418380.0, 0.0),
+    ("Node2Vec/OREJ/Sequential", 226998.40000038032, 0.0, 445110.0, 138642.0),
+    ("Node2Vec/OREJ/Interleaved", 310871.3999999229, 0.0, 257605.99999999994, 0.0),
+    ("Node2Vec/OREJ/Amac", 310870.4000000079, 0.0, 300015.99999999994, 0.0),
+    ("Node2Vec/ALIAS-dyn/Sequential", 1564822.999993004, 1085714.0, 66000.0, 133432.0),
+    ("Node2Vec/ALIAS-dyn/Interleaved", 1704682.9999895536, 1085714.0, 267336.00000000023, 0.0),
+    ("Node2Vec/ALIAS-dyn/Amac", 1704682.9999888085, 1085713.9999999998, 321320.0, 0.0),
+    ("MetaPath/ITS-dyn/Sequential", 340561.5, 34296.0, 105549.5, 93889.5),
+    ("MetaPath/ITS-dyn/Interleaved", 347869.5, 34296.0, 312961.5, 0.0),
+    ("MetaPath/ITS-dyn/Amac", 347869.5, 34296.0, 345714.5, 0.0),
+  )
+
   private def same(a: Double, b: Double): Boolean =
     java.lang.Double.doubleToLongBits(a) == java.lang.Double.doubleToLongBits(b)
+
+  private def close(a: Double, b: Double): Boolean =
+    math.abs(a - b) <= 1e-9 * math.max(math.abs(a), math.abs(b))
 
   test("golden table lists every case") {
     assert(golden.map(_._1) == cases.map(_._1))
@@ -124,6 +166,29 @@ class GoldenStatsSpec extends SparkSpec with GraphFixtures {
       assert(same(s.memStallCycles, mem), s"memStallCycles ${s.memStallCycles} != $mem")
       assert(same(s.badSpecCycles, bad), s"badSpecCycles ${s.badSpecCycles} != $bad")
       assert(s.dramLines == dram, s"dramLines ${s.dramLines} != $dram")
+    }
+  }
+
+  test("golden phase table lists every engine case") {
+    assert(goldenPhases.map(_._1) == engineCases.map(_._1))
+  }
+
+  for (((name, f), (_, cp, init, gen, other)) <- engineCases.zip(goldenPhases)) {
+    test(s"golden phases: $name") {
+      val p = f().phases
+      assert(same(p.computeP, cp), s"computeP ${p.computeP} != $cp")
+      assert(same(p.init, init), s"init ${p.init} != $init")
+      if (name.endsWith("/Sequential")) {
+        assert(same(p.gen, gen), s"gen ${p.gen} != $gen")
+        assert(same(p.other, other), s"other ${p.other} != $other")
+      } else assert(close(p.gen + p.other, gen + other), s"gen + other ${p.gen + p.other} != ${gen + other}")
+    }
+  }
+
+  test("phases sum to the simulated cycles under every engine") {
+    for ((name, f) <- engineCases) {
+      val r = f()
+      assert(close(r.phases.total, r.stats.cycles), s"$name: phases ${r.phases} vs cycles ${r.stats.cycles}")
     }
   }
 
