@@ -2,66 +2,78 @@ package repro.core
 
 import repro.graph.CSRGraph
 import repro.memsim.{MemSim, PrefetchHint}
-import repro.sampling.{SamplingMethod, StaticTables}
+import repro.sampling.{SamplingMethod, StaticTables, WalkerType}
 
-/** Step-interleaving engine (§5, Algorithm 4/5).
+/** The Gather–Move–Update engine as one SDG stage machine (Table 4), run
+  * under the schedule `kind`:
   *
-  * A ring of `k` slots holds in-flight walkers. Each visit to a slot
-  * executes exactly one SDG stage (Table 4) and issues the software
-  * prefetch for the next stage's load, then control moves to the next
-  * slot — by the time the slot is revisited, the prefetch has (partly)
-  * completed and the demand read pays only the residual latency.
+  *  - Sequential (Algorithm 2, wo/si): one slot drives each walker to
+  *    completion. Every step begins at the degree stage; no prefetch is
+  *    issued and no switch cost is charged.
+  *  - Interleaved (Algorithm 4/5, w/si): a ring of `taskRing` slots holds
+  *    in-flight walkers. Each visit to a slot executes exactly one stage and
+  *    issues the software prefetch for the next stage's load, then control
+  *    moves to the next slot — by the time the slot is revisited, the
+  *    prefetch has (partly) completed and the demand read pays only the
+  *    residual latency. Stages inside SDG cycles (the ITS binary search and
+  *    the REJ/O-REJ retry loops) keep per-slot state, so their switch cost
+  *    is higher than that of the coupled non-cycle stages.
+  *  - Amac: the same ring, but every stage pays the full AMAC
+  *    state-maintenance cost (§C.5), modelling Kocberber et al.'s generic
+  *    chaining.
   *
-  * Stages inside SDG cycles (the ITS binary-search and the REJ/O-REJ
-  * retry loops) are processed decoupled, with per-slot state — the search
-  * ring; their switch cost is higher than the coupled non-cycle stages.
-  * With `amac = true` every stage pays the full AMAC state-maintenance
-  * cost (§C.5), modelling Kocberber et al.'s generic chaining.
+  * The schedule changes costs, never walks: every walker owns its RNG and
+  * no stage reorders a walker's draws, so all three produce bitwise
+  * identical walks.
   *
-  * The walks produced are bitwise identical to [[SequentialEngine]]'s:
-  * interleaving is a pure scheduling transformation and every walker owns
-  * its RNG.
+  * Phases follow one rule under every schedule: the Weight UDF is
+  * `computeP`, dynamic init is `init`, the rest of Move is `gen`, and the
+  * switch charge, the degree read, the step's output and Update, and
+  * O-REJ's max weight and accept test are `other`.
   */
-final class RingEngine(
+private[core] class SdgEngine(
     g: CSRGraph, app: RandomWalkApp, sampling: SamplingMethod.Value,
-    tables: StaticTables, sim: MemSim,
-    val taskRing: Int = 64, val searchRing: Int = 32,
-    val hint: PrefetchHint.Value = PrefetchHint.T0,
-    val amac: Boolean = false,
-    overhead: Overhead = Overhead(),
-) extends EngineBase(g, app, sampling, tables, sim, overhead) {
+    tables: StaticTables, sim: MemSim, kind: EngineKind.Value,
+    taskRing: Int, hint: PrefetchHint.Value, overhead: Overhead,
+) {
+  import SdgEngine._
 
-  // ---- stages --------------------------------------------------------------
-  private val S_PF_OFF = 0
-  private val S_DEG = 1
-  private val S_NAIVE_FIN = 2
-  private val S_ALIAS_PICK = 3
-  private val S_DYN_FIN = 4 // dynamic ALIAS/REJ/ITS: read selected neighbor
-  private val S_ITS_TOTAL = 5
-  private val S_ITS_SEARCH = 6 // cycle
-  private val S_ITS_FIN = 7
-  private val S_REJ_PSTAR = 8
-  private val S_REJ_TRY = 9 // cycle
-  private val S_OREJ_TRY = 10 // cycle
+  private val ctx = new SimCtx(sim, g)
+  private val dynamic: Boolean = app.walkerType == WalkerType.Dynamic
+  private val uniform: Boolean = app.walkerType == WalkerType.Unbiased
+  // O-REJ never gathers; NAIVE is only legal for unbiased walks. A gathering
+  // sampler searches and tests the slot's gather buffer instead of tables.
+  private val needsGather: Boolean =
+    dynamic && sampling != SamplingMethod.OREJ && sampling != SamplingMethod.NAIVE
 
-  @inline private def isCycleStage(s: Int): Boolean =
-    s == S_ITS_SEARCH || s == S_REJ_TRY || s == S_OREJ_TRY
+  require(!(sampling == SamplingMethod.NAIVE && !uniform),
+    "NAIVE sampling only supports unbiased random walk (§2.3)")
+  require(needsGather || dynamic || sampling == SamplingMethod.NAIVE ||
+    sampling == SamplingMethod.OREJ || tables != null,
+    s"static/unbiased $sampling requires preprocessed tables")
+  require(taskRing >= 1, s"taskRing must be at least 1, got $taskRing")
+
+  private val interleaved = kind != EngineKind.Sequential
+  private val chainAll = kind == EngineKind.Amac
+  private val firstStage = if (interleaved) S_PF_OFF else S_DEG
 
   /** Switch cost: coupled non-cycle stages are cheap; decoupled cycle
     * stages carry ring-state maintenance; AMAC pays the full state machine
     * on every stage (Table 13's instruction-count gap).
     */
   @inline private def switchCost(s: Int): Int =
-    if (amac) sim.cfg.switchInstr + 6
-    else if (isCycleStage(s)) sim.cfg.switchInstr + 4
+    if (chainAll) sim.cfg.switchInstr + 6
+    else if (s == S_ITS_SEARCH || s == S_REJ_TRY || s == S_OREJ_TRY) sim.cfg.switchInstr + 4
     else sim.cfg.switchInstr
+
+  @inline private def prefetch(addr: Long): Unit = if (interleaved) sim.prefetch(addr, hint)
 
   private final class Slot {
     // Gather-buffer index, numbered in the order slots first gather; a
     // slot whose walker starts on a zero-degree vertex gathers later.
     var gatherId = -1
     var w: Walker = _
-    var stage: Int = S_PF_OFF
+    var stage: Int = firstStage
     var d = 0
     var base = 0
     var x = 0
@@ -69,25 +81,46 @@ final class RingEngine(
     var r = 0.0
     var lo = 0
     var hi = 0
-    var total = 0.0
     var mx = 0.0
     var chosen = -1
-    var localSearch = false // ITS search over gather buffer vs static cdf
-    var h: Array[Double] = _
-    var hFirst: Array[Int] = _
-    var hSecond: Array[Int] = _
     var buf: Array[Double] = _
   }
 
   private var tComputeP = 0.0
   private var tInit = 0.0
+  private var tGen = 0.0
+  // Cycle count at which the open gen window began; negative when closed.
+  // A sequential step keeps one window open across its Move stages; the
+  // ring closes it at the end of every visit.
+  private var genFrom = -1.0
   private var gatherSlots = 0
 
+  @inline private def openGen(): Unit = genFrom = sim.cycles
+  @inline private def closeGen(): Unit =
+    if (genFrom >= 0) { tGen += sim.cycles - genFrom; genFrom = -1.0 }
+
   def run(walkers: Array[Walker]): EngineResult = {
-    if (walkers.isEmpty)
-      return EngineResult(Array.empty, sim.snapshot() - sim.snapshot(), 0L, PhaseBreakdown.zero)
     val t0 = sim.snapshot()
-    val k = math.max(1, math.min(taskRing, walkers.length))
+    if (interleaved) runRing(walkers)
+    else {
+      val s = new Slot()
+      var i = 0
+      while (i < walkers.length) {
+        val w = walkers(i)
+        s.w = w; s.stage = S_DEG
+        while (!w.done) stage(s)
+        i += 1
+      }
+    }
+    val stats = sim.snapshot() - t0
+    val steps = walkers.map(_.length.toLong).sum
+    val other = math.max(0.0, stats.cycles - tComputeP - tInit - tGen)
+    EngineResult(walkers.map(_.path), stats, steps,
+      PhaseBreakdown(tComputeP, tInit, tGen, other))
+  }
+
+  private def runRing(walkers: Array[Walker]): Unit = {
+    val k = math.min(taskRing, walkers.length)
     val slots = new Array[Slot](k)
     var i = 0
     while (i < k) { slots(i) = new Slot(); slots(i).w = walkers(i); i += 1 }
@@ -97,8 +130,11 @@ final class RingEngine(
     while (live > 0) {
       val s = slots(idx)
       if (s.w != null) {
-        advance(s)
-        if (s.w != null && s.w.done) {
+        sim.compute(switchCost(s.stage))
+        if (s.stage > S_DEG) openGen()
+        stage(s)
+        closeGen()
+        if (s.w.done) {
           if (next < walkers.length) {
             s.w = walkers(next); next += 1; s.stage = S_PF_OFF
           } else { s.w = null; live -= 1 }
@@ -107,157 +143,133 @@ final class RingEngine(
       idx += 1
       if (idx == k) idx = 0
     }
-    val stats = sim.snapshot() - t0
-    val steps = walkers.map(_.length.toLong).sum
-    val other = math.max(0.0, stats.cycles - tComputeP - tInit)
-    EngineResult(walkers.map(_.path), stats, steps,
-      PhaseBreakdown(tComputeP, tInit, other, 0.0))
   }
 
   /** Execute one stage of one slot. */
-  private def advance(s: Slot): Unit = {
-    sim.compute(switchCost(s.stage))
+  private def stage(s: Slot): Unit = {
     val w = s.w
     (s.stage: @annotation.switch) match {
-      case 0 /* S_PF_OFF */ =>
+      case S_PF_OFF =>
         sim.prefetch(g.addrOffset(w.cur), hint)
         sim.prefetch(g.addrOffset(w.cur + 1), hint) // same line 15/16 of the time
         s.stage = S_DEG
 
-      case 1 /* S_DEG */ =>
+      case S_DEG =>
         val v = w.cur
         sim.read(g.addrOffset(v)); sim.read(g.addrOffset(v + 1)); sim.compute(2)
         s.d = g.degree(v); s.base = g.edgeBegin(v)
         if (s.d == 0) { w.done = true; return }
         if (needsGather) { gatherAndInit(s); return }
+        if (sampling == SamplingMethod.OREJ) { s.mx = app.maxWeight(g); sim.compute(2) }
+        openGen()
         sampling match {
           case SamplingMethod.NAIVE =>
             s.x = w.rng.nextInt(s.d); sim.compute(8)
-            sim.prefetch(g.addrNeighbor(s.base + s.x), hint)
-            s.stage = S_NAIVE_FIN
+            choose(s, s.base + s.x)
           case SamplingMethod.ALIAS =>
             s.x = w.rng.nextInt(s.d); sim.compute(8)
             s.y = w.rng.nextDouble(); sim.compute(8)
-            sim.prefetch(g.addrAliasPair(s.base + s.x), hint)
+            prefetch(g.addrAliasPair(s.base + s.x))
             s.stage = S_ALIAS_PICK
           case SamplingMethod.ITS =>
-            sim.prefetch(g.addrCdf(s.base + s.d - 1), hint)
-            s.localSearch = false
+            prefetch(g.addrCdf(s.base + s.d - 1))
             s.stage = S_ITS_TOTAL
           case SamplingMethod.REJ =>
-            sim.prefetch(g.addrRejMax(w.cur), hint)
+            prefetch(g.addrRejMax(v))
             s.stage = S_REJ_PSTAR
           case SamplingMethod.OREJ =>
-            s.mx = app.maxWeight(g); sim.compute(2)
             orejDraw(s)
             s.stage = S_OREJ_TRY
         }
 
-      case 2 /* S_NAIVE_FIN */ =>
-        val e = s.base + s.x
-        sim.read(g.addrNeighbor(e))
-        finishStep(w, e)
-        s.stage = S_PF_OFF
+      case S_FIN =>
+        sim.read(g.addrNeighbor(s.chosen))
+        finishStep(s, s.chosen)
 
-      case 3 /* S_ALIAS_PICK */ =>
+      case S_ALIAS_PICK =>
         val t = s.base + s.x
         sim.read(g.addrAliasPair(t)); sim.compute(4)
         val e =
           if (s.y < tables.aliasProb(t) || tables.aliasSecond(t) < 0) tables.aliasFirst(t)
           else tables.aliasSecond(t)
-        finishStep(w, e)
-        s.stage = S_PF_OFF
+        finishStep(s, e)
 
-      case 4 /* S_DYN_FIN */ =>
-        sim.read(g.addrNeighbor(s.chosen))
-        finishStep(w, s.chosen)
-        s.stage = S_PF_OFF
-
-      case 5 /* S_ITS_TOTAL */ =>
+      case S_ITS_TOTAL =>
         sim.read(g.addrCdf(s.base + s.d - 1))
-        s.total = tables.cdf(s.base + s.d - 1)
-        s.r = w.rng.nextDouble() * s.total; sim.compute(10)
-        s.lo = 0; s.hi = s.d - 1
-        if (s.lo >= s.hi) {
-          s.chosen = s.base
-          sim.prefetch(g.addrNeighbor(s.chosen), hint)
-          s.stage = S_ITS_FIN
-        } else {
-          sim.prefetch(g.addrCdf(s.base + ((s.lo + s.hi) >>> 1)), hint)
-          s.stage = S_ITS_SEARCH
-        }
+        startSearch(s, tables.cdf(s.base + s.d - 1))
 
-      case 6 /* S_ITS_SEARCH */ =>
+      case S_ITS_SEARCH =>
         val mid = (s.lo + s.hi) >>> 1
-        val cdfVal =
-          if (s.localSearch) { sim.read(gatherAddr(s.gatherId, mid)); s.buf(mid) }
-          else { sim.read(g.addrCdf(s.base + mid)); tables.cdf(s.base + mid) }
+        sim.read(searchAddr(s, mid))
+        val cdfVal = if (needsGather) s.buf(mid) else tables.cdf(s.base + mid)
         sim.compute(4); sim.mispredict(0.5)
         if (s.r < cdfVal) s.hi = mid else s.lo = mid + 1
-        if (s.lo >= s.hi) {
-          s.chosen = s.base + s.lo
-          sim.prefetch(g.addrNeighbor(s.chosen), hint)
-          s.stage = if (s.localSearch) S_DYN_FIN else S_ITS_FIN
-        } else {
-          val m2 = (s.lo + s.hi) >>> 1
-          if (s.localSearch) sim.prefetch(gatherAddr(s.gatherId, m2), hint)
-          else sim.prefetch(g.addrCdf(s.base + m2), hint)
-        }
+        searchNext(s)
 
-      case 7 /* S_ITS_FIN */ =>
-        sim.read(g.addrNeighbor(s.chosen))
-        finishStep(w, s.chosen)
-        s.stage = S_PF_OFF
-
-      case 8 /* S_REJ_PSTAR */ =>
+      case S_REJ_PSTAR =>
         sim.read(g.addrRejMax(w.cur))
         s.mx = tables.rejMax(w.cur).toDouble
         rejDraw(s)
         s.stage = S_REJ_TRY
 
-      case 9 /* S_REJ_TRY */ =>
-        val p =
-          if (s.localSearch) { // dynamic REJ: probabilities live in the gather buffer
-            sim.read(gatherAddr(s.gatherId, s.x)); sim.compute(3)
-            s.buf(s.x)
-          } else {
-            sim.read(g.addrWeight(s.base + s.x)); sim.compute(3)
-            if (uniform) 1.0 else g.weight(s.base + s.x).toDouble
-          }
-        if (s.y < p) {
-          s.chosen = s.base + s.x
-          sim.prefetch(g.addrNeighbor(s.chosen), hint)
-          s.stage = S_DYN_FIN
-        } else {
-          sim.mispredict(0.7)
-          if (s.localSearch) rejDrawLocal(s) else rejDraw(s)
-        }
+      case S_REJ_TRY =>
+        sim.read(rejAddr(s)); sim.compute(3)
+        val p = if (needsGather) s.buf(s.x) else if (uniform) 1.0 else g.weight(s.base + s.x).toDouble
+        if (s.y < p) choose(s, s.base + s.x)
+        else { sim.mispredict(0.7); rejDraw(s) }
 
-      case 10 /* S_OREJ_TRY */ =>
+      case S_OREJ_TRY =>
         val e = s.base + s.x
         sim.read(g.addrNeighbor(e))
+        closeGen()
         val c0 = sim.cycles
         val p = app.weight(ctx, g, w, e)
         tComputeP += sim.cycles - c0
         sim.compute(2)
-        if (s.y < p) {
-          finishStep(w, e)
-          s.stage = S_PF_OFF
-        } else { sim.mispredict(0.7); orejDraw(s) }
+        if (s.y < p) finishStep(s, e)
+        else { sim.mispredict(0.7); openGen(); orejDraw(s) }
     }
   }
+
+  /** Edge `e` is sampled: prefetch its neighbor id for the final stage. */
+  private def choose(s: Slot, e: Int): Unit = {
+    s.chosen = e
+    prefetch(g.addrNeighbor(e))
+    s.stage = S_FIN
+  }
+
+  @inline private def searchAddr(s: Slot, i: Int): Long =
+    if (needsGather) gatherAddr(s.gatherId, i) else g.addrCdf(s.base + i)
+
+  /** Draw the ITS target in `[0, total)` and search `[0, d-1]` for it. */
+  private def startSearch(s: Slot, total: Double): Unit = {
+    s.r = s.w.rng.nextDouble() * total; sim.compute(10)
+    s.lo = 0; s.hi = s.d - 1
+    searchNext(s)
+  }
+
+  /** One ITS binary-search step over `[lo, hi]` is done: finish or probe on. */
+  private def searchNext(s: Slot): Unit =
+    if (s.lo >= s.hi) choose(s, s.base + s.lo)
+    else {
+      prefetch(searchAddr(s, (s.lo + s.hi) >>> 1))
+      s.stage = S_ITS_SEARCH
+    }
 
   @inline private def rejDraw(s: Slot): Unit = {
     s.x = s.w.rng.nextInt(s.d); sim.compute(8)
     s.y = s.w.rng.nextDouble() * s.mx; sim.compute(8)
-    sim.prefetch(g.addrWeight(s.base + s.x), hint)
+    prefetch(rejAddr(s))
   }
+
+  @inline private def rejAddr(s: Slot): Long =
+    if (needsGather) gatherAddr(s.gatherId, s.x) else g.addrWeight(s.base + s.x)
 
   @inline private def orejDraw(s: Slot): Unit = {
     s.x = s.w.rng.nextInt(s.d); sim.compute(8)
     s.y = s.w.rng.nextDouble() * s.mx; sim.compute(8)
-    sim.prefetch(g.addrNeighbor(s.base + s.x), hint)
-    sim.prefetch(g.addrWeight(s.base + s.x), hint)
+    prefetch(g.addrNeighbor(s.base + s.x))
+    prefetch(g.addrWeight(s.base + s.x))
   }
 
   /** Dynamic RW: gather + init run synchronously inside the slot visit
@@ -273,49 +285,134 @@ final class RingEngine(
     val sum = gather(s.gatherId, w, s.base, s.d, s.buf)
     tComputeP += sim.cycles - c0
     if (sum <= 0.0) { w.done = true; return }
+    val i0 = sim.cycles
     sampling match {
       case SamplingMethod.ITS =>
-        val i0 = sim.cycles
-        s.total = initCdfLocal(s.d, s.buf)
+        val total = initCdfLocal(s.d, s.buf)
         tInit += sim.cycles - i0
-        s.r = w.rng.nextDouble() * s.total; sim.compute(10)
-        s.lo = 0; s.hi = s.d - 1
-        s.localSearch = true
-        if (s.lo >= s.hi) {
-          s.chosen = s.base
-          sim.prefetch(g.addrNeighbor(s.chosen), hint)
-          s.stage = S_DYN_FIN
-        } else {
-          sim.prefetch(gatherAddr(s.gatherId, (s.lo + s.hi) >>> 1), hint)
-          s.stage = S_ITS_SEARCH
-        }
+        openGen()
+        startSearch(s, total)
       case SamplingMethod.ALIAS =>
-        val i0 = sim.cycles
-        val probs = java.util.Arrays.copyOf(s.buf, s.d)
-        val t = StaticTables.buildAlias(probs, sum, sim)
-        s.h = t._1; s.hFirst = t._2; s.hSecond = t._3
+        val (h, first, second) = StaticTables.buildAlias(java.util.Arrays.copyOf(s.buf, s.d), sum, sim)
         tInit += sim.cycles - i0
+        openGen()
         s.x = w.rng.nextInt(s.d); sim.compute(8)
         s.y = w.rng.nextDouble(); sim.compute(8)
         sim.read(gatherAddr(s.gatherId, s.x)); sim.compute(4)
-        val local = if (s.y < s.h(s.x) || s.hSecond(s.x) < 0) s.hFirst(s.x) else s.hSecond(s.x)
-        s.chosen = s.base + local
-        sim.prefetch(g.addrNeighbor(s.chosen), hint)
-        s.stage = S_DYN_FIN
+        choose(s, s.base + (if (s.y < h(s.x) || second(s.x) < 0) first(s.x) else second(s.x)))
       case SamplingMethod.REJ =>
-        val i0 = sim.cycles
         s.mx = initMaxLocal(s.d, s.buf)
         tInit += sim.cycles - i0
-        s.localSearch = true
-        rejDrawLocal(s)
+        openGen()
+        rejDraw(s)
         s.stage = S_REJ_TRY
       case other => sys.error(s"gather not defined for $other")
     }
   }
 
-  @inline private def rejDrawLocal(s: Slot): Unit = {
-    s.x = s.w.rng.nextInt(s.d); sim.compute(8)
-    s.y = s.w.rng.nextDouble() * s.mx; sim.compute(8)
-    sim.prefetch(gatherAddr(s.gatherId, s.x), hint)
+  private val gatherStride: Long = {
+    val bytes = 8L * (g.maxDegree + 1)
+    ((bytes + 63) / 64) * 64
+  }
+  @inline private def gatherAddr(slot: Int, i: Int): Long =
+    CSRGraph.GatherBase + slot.toLong * gatherStride + 8L * i
+
+  /** Gather (Alg. 2 lines 9-12): stream E_v applying Weight, filling the
+    * slot-local buffer; returns the total mass. Charged as streaming —
+    * this is why dynamic RW shows low memory-bound in Table 1.
+    */
+  private def gather(slot: Int, w: Walker, base: Int, d: Int, buf: Array[Double]): Double = {
+    ctx.streaming = true
+    var sum = 0.0
+    var i = 0
+    while (i < d) {
+      val e = base + i
+      sim.streamRead(g.addrNeighbor(e))
+      val p = app.weight(ctx, g, w, e)
+      buf(i) = p
+      sim.streamWrite(gatherAddr(slot, i))
+      sim.compute(2)
+      sum += p
+      i += 1
+    }
+    ctx.streaming = false
+    sum
+  }
+
+  /** Dynamic ITS init: in-place prefix sum over the gather buffer. */
+  private def initCdfLocal(d: Int, buf: Array[Double]): Double = {
+    var acc = 0.0
+    var i = 0
+    while (i < d) { acc += buf(i); buf(i) = acc; sim.compute(2); i += 1 }
+    acc
+  }
+
+  /** Dynamic REJ init: max scan over the gather buffer. */
+  private def initMaxLocal(d: Int, buf: Array[Double]): Double = {
+    var mx = 0.0
+    var i = 0
+    while (i < d) { if (buf(i) > mx) mx = buf(i); sim.compute(2); i += 1 }
+    mx
+  }
+
+  private val outStride = 4L * 4096
+  @inline private def outAddr(w: Walker): Long =
+    CSRGraph.OutputBase + w.id.toLong * outStride + 4L * w.length
+
+  /** Move the slot's walker along edge `e`, write output, run Update; the
+    * slot's next step starts over.
+    */
+  private def finishStep(s: Slot, e: Int): Unit = {
+    closeGen()
+    val w = s.w
+    w.move(g.neighbor(e))
+    sim.streamWrite(outAddr(w))
+    sim.compute(4)
+    if (app.update(ctx, g, w, e)) w.done = true
+    chargeOverhead()
+    s.stage = firstStage
+  }
+
+  private val FrameworkBase = 12L << 40
+  private val FrameworkBytes = 64L * 1024 * 1024
+  private var overheadCounter = 0L
+
+  /** Charge the per-step framework overhead (GW/KK emulation). */
+  private def chargeOverhead(): Unit = {
+    if (overhead.isZero) return
+    sim.compute(overhead.instr)
+    var i = 0
+    while (i < overhead.reads) {
+      overheadCounter += 1
+      val addr = FrameworkBase + ((overheadCounter * 0x9E3779B97F4A7C15L) & (FrameworkBytes - 1)) / 64 * 64
+      sim.read(addr)
+      i += 1
+    }
   }
 }
+
+private object SdgEngine {
+  final val S_PF_OFF = 0
+  final val S_DEG = 1
+  final val S_FIN = 2 // read the sampled edge's neighbor id
+  final val S_ALIAS_PICK = 3
+  final val S_ITS_TOTAL = 4
+  final val S_ITS_SEARCH = 5 // cycle
+  final val S_REJ_PSTAR = 6
+  final val S_REJ_TRY = 7 // cycle
+  final val S_OREJ_TRY = 8 // cycle
+}
+
+/** Step interleaving (`amac = false`) or AMAC (`amac = true`) over a ring
+  * of `taskRing` slots. `searchRing` is accepted but not read: cycle stages
+  * share the task ring (DESIGN.md §4).
+  */
+final class RingEngine(
+    g: CSRGraph, app: RandomWalkApp, sampling: SamplingMethod.Value,
+    tables: StaticTables, sim: MemSim,
+    val taskRing: Int = 64, val searchRing: Int = 32,
+    val hint: PrefetchHint.Value = PrefetchHint.T0,
+    val amac: Boolean = false,
+    overhead: Overhead = Overhead(),
+) extends SdgEngine(g, app, sampling, tables, sim,
+      if (amac) EngineKind.Amac else EngineKind.Interleaved, taskRing, hint, overhead)

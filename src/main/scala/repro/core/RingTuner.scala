@@ -29,7 +29,7 @@ object RingTuner {
     val sources = Array.tabulate(n)(i => ((i.toLong * 2654435761L) % g.numVertices).toInt)
     val walkers = ThunderRW.makeWalkers(0 until n, sources, seed = 99L)
     val sim = new MemSim(cfg)
-    new RingEngine(g, app, m, tables, sim, k, k / 2).run(walkers)
+    new RingEngine(g, app, m, tables, sim, k).run(walkers)
     sim.seconds
   }
 

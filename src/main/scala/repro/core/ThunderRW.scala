@@ -79,19 +79,8 @@ object ThunderRW {
                kind: EngineKind.Value, tables: StaticTables, walkers: Array[Walker],
                cfg: MemConfig = MemConfig(), taskRing: Int = 64,
                hint: PrefetchHint.Value = PrefetchHint.T0,
-               overhead: Overhead = Overhead()): EngineResult = {
-    val sim = new MemSim(cfg)
-    kind match {
-      case EngineKind.Sequential =>
-        new SequentialEngine(g, app, sampling, tables, sim, overhead).run(walkers)
-      case EngineKind.Interleaved =>
-        new RingEngine(g, app, sampling, tables, sim, taskRing, taskRing / 2, hint,
-          amac = false, overhead).run(walkers)
-      case EngineKind.Amac =>
-        new RingEngine(g, app, sampling, tables, sim, taskRing, taskRing / 2, hint,
-          amac = true, overhead).run(walkers)
-    }
-  }
+               overhead: Overhead = Overhead()): EngineResult =
+    new SdgEngine(g, app, sampling, tables, new MemSim(cfg), kind, taskRing, hint, overhead).run(walkers)
 
   /** Distributed run: `nQueries` walkers, `sources(i)` the start vertex of
     * walker i, split over `threads` simulated workers (Spark partitions).

@@ -36,6 +36,15 @@ class RingSizeSpec extends SparkSpec with GraphFixtures {
     assert(k512 > k32 * 1.2, s"k=32: $k32, k=512: $k512")
   }
 
+  test("a task ring of fewer than one slot fails early") {
+    val app = new Apps.DeepWalk(40)
+    for (kind <- Seq(EngineKind.Interleaved, EngineKind.Amac); k <- Seq(0, -4)) {
+      val e = intercept[IllegalArgumentException](ThunderRW.runLocal(big, app, SamplingMethod.OREJ,
+        kind, null, ThunderRW.makeWalkers(0 until 4, Array.fill(4)(0), 9L), cfg, taskRing = k))
+      assert(e.getMessage.contains(s"taskRing must be at least 1, got $k"), s"$kind: ${e.getMessage}")
+    }
+  }
+
   test("k=1 interleaving is no better than sequential (prefetch distance too short)") {
     val app = new Apps.DeepWalk(40)
     val (t, _) = ThunderRW.preprocess(big, app, SamplingMethod.ALIAS, cfg, charge = false)
