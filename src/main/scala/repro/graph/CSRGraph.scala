@@ -68,7 +68,6 @@ final class CSRGraph(
   @inline def addrNeighbor(e: Int): Long = NeighborsBase + 4L * e
   @inline def addrWeight(e: Int): Long = WeightsBase + 4L * e
   @inline def addrLabel(e: Int): Long = LabelsBase + 4L * e
-  @inline def addrAliasProb(e: Int): Long = AliasProbBase + 4L * e
   @inline def addrAliasPair(e: Int): Long = AliasPairBase + 8L * e
   @inline def addrCdf(e: Int): Long = CdfBase + 8L * e
   @inline def addrRejMax(v: Int): Long = RejMaxBase + 4L * v
@@ -80,7 +79,6 @@ object CSRGraph {
   val NeighborsBase: Long = 1L << 40
   val WeightsBase: Long = 2L << 40
   val LabelsBase: Long = 3L << 40
-  val AliasProbBase: Long = 4L << 40
   val AliasPairBase: Long = 5L << 40
   val CdfBase: Long = 6L << 40
   val RejMaxBase: Long = 7L << 40

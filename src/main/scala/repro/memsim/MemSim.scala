@@ -268,9 +268,6 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     }
   }
 
-  /** Instructions spent switching between ring slots (step interleaving). */
-  @inline def switchOverhead(): Unit = compute(cfg.switchInstr)
-
   def seconds: Double = cycles / (cfg.freqGhz * 1e9)
 
   def snapshot(): SimStats = SimStats(

@@ -76,7 +76,7 @@ class GraphSpec extends SparkSpec with GraphFixtures {
     val g = tinyGraph()
     val e = g.numEdges - 1
     val addrs = Seq(g.addrOffset(g.numVertices), g.addrNeighbor(e), g.addrWeight(e),
-      g.addrLabel(e), g.addrAliasProb(e), g.addrAliasPair(e), g.addrCdf(e), g.addrRejMax(g.numVertices - 1))
+      g.addrLabel(e), g.addrAliasPair(e), g.addrCdf(e), g.addrRejMax(g.numVertices - 1))
     addrs.indices.foreach { i =>
       addrs.indices.foreach { j =>
         if (i != j) assert((addrs(i) >> 40) != (addrs(j) >> 40))
