@@ -38,13 +38,17 @@ object Experiments {
     best
   }
 
-  def makeApp(name: String, g: CSRGraph): RandomWalkApp = name match {
-    case "PPR"      => new Apps.PPR(stopProb = 0.2)
-    case "DeepWalk" => new Apps.DeepWalk(targetLength = 80)
-    case "Node2Vec" => new Apps.Node2Vec(a = 2.0, b = 0.5, targetLength = 80)
+  /** App factory for every table, including the unbiased DeepWalk
+    * profiling variant; `length` is the target walk length.
+    */
+  def makeApp(name: String, g: CSRGraph, length: Int = 80): RandomWalkApp = name match {
+    case "PPR"               => new Apps.PPR(0.2)
+    case "DeepWalk"          => new Apps.DeepWalk(length)
+    case "DeepWalk-unbiased" => new Apps.DeepWalkUnbiased(length)
+    case "Node2Vec"          => new Apps.Node2Vec(2.0, 0.5, length)
     case "MetaPath" =>
       val nLabels = if (g.hasLabels) (g.labels.max + 1) else 5
-      Apps.metaPathFor(nLabels, len = 5, targetLength = 80)
+      Apps.metaPathFor(nLabels, len = 5, targetLength = length)
     case other => sys.error(s"unknown app $other")
   }
 
@@ -93,25 +97,13 @@ object Experiments {
       sum.steps, sum.stats)
   }
 
-  /** App factory that also covers the unbiased DeepWalk profiling variant. */
-  def makeApp2(name: String, g: CSRGraph, length: Int = 80): RandomWalkApp = name match {
-    case "PPR"               => new Apps.PPR(0.2)
-    case "DeepWalk"          => new Apps.DeepWalk(length)
-    case "DeepWalk-unbiased" => new Apps.DeepWalkUnbiased(length)
-    case "Node2Vec"          => new Apps.Node2Vec(2.0, 0.5, length)
-    case "MetaPath" =>
-      val nLabels = if (g.hasLabels) (g.labels.max + 1) else 5
-      Apps.metaPathFor(nLabels, len = 5, targetLength = length)
-    case other => sys.error(s"unknown app $other")
-  }
-
   /** Single-worker profiling run (no Spark): used by the TMAM tables.
     * Returns (per-worker stats, steps, phases).
     */
   def profileRun(g: CSRGraph, appName: String, sampling: SamplingMethod.Value,
                  kind: EngineKind.Value, n: Int, length: Int = 80,
                  taskRing: Int = 64): (SimStats, Long, PhaseBreakdown) = {
-    val app: RandomWalkApp = makeApp2(appName, g, length)
+    val app: RandomWalkApp = makeApp(appName, g, length)
     val src = sources(if (appName == "PPR") "PPR" else "x", g, n)
     val (tables, _) = ThunderRW.preprocess(g, app, sampling, cfg, charge = false)
     val walkers = ThunderRW.makeWalkers(0 until n, src, seed = 2021L)

@@ -203,10 +203,10 @@ object Tables {
     val rows = methods.map { case (label, app, m) =>
       def sec(h: PrefetchHint.Value): Double = {
         val gph = graph(spark, ProfileGraph)
-        val (tables, _) = ThunderRW.preprocess(gph, Experiments.makeApp2(app, gph), m, cfg, charge = false)
+        val (tables, _) = ThunderRW.preprocess(gph, Experiments.makeApp(app, gph), m, cfg, charge = false)
         val src = sources("x", gph, n)
         val walkers = ThunderRW.makeWalkers(0 until n, src, seed = 2021L)
-        val res = ThunderRW.runLocal(gph, Experiments.makeApp2(app, gph), m,
+        val res = ThunderRW.runLocal(gph, Experiments.makeApp(app, gph), m,
           EngineKind.Interleaved, tables, walkers, cfg, 64, h)
         res.stats.seconds
       }
