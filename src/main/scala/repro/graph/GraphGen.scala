@@ -50,6 +50,13 @@ object GraphGen {
   def spec(key: String): DatasetSpec =
     datasets.find(_.key == key).getOrElse(sys.error(s"unknown dataset '$key'"))
 
+  /** Partitions of every generated edge range. Spark seeds `rand` per
+    * partition, so a range split by `defaultParallelism` would give a
+    * different graph on every core count; 4 keeps the graphs of a 4-core
+    * host.
+    */
+  val Partitions = 4
+
   /** Generate the undirected edge-pair DataFrame for a spec:
     * columns (src INT, dst INT, weight FLOAT, label INT).
     */
@@ -63,13 +70,13 @@ object GraphGen {
         (rand(seed) * nLeft).cast(IntegerType) as "src",
         (lit(nLeft) + zipfCol(rand(seed + 1), nRight, s.skew)).cast(IntegerType) as "dst",
       ) ++ attrCols(seed, s.nLabels)
-      spark.range(s.edges).select(cols: _*)
+      spark.range(0, s.edges, 1, Partitions).select(cols: _*)
     } else {
       val cols = Seq(
         (rand(seed) * n).cast(IntegerType) as "src",
         zipfCol(rand(seed + 1), n, s.skew).cast(IntegerType) as "dst",
       ) ++ attrCols(seed, s.nLabels)
-      spark.range(s.edges).select(cols: _*)
+      spark.range(0, s.edges, 1, Partitions).select(cols: _*)
         .withColumn("dst", when(col("dst") === col("src"), (col("dst") + 1) % n).otherwise(col("dst")))
     }
   }
