@@ -145,10 +145,13 @@ private[core] class SdgEngine(
     }
   }
 
-  /** Execute one stage of one slot. */
+  /** Execute one stage of one slot. The sequential schedule goes on with
+    * the walker's next stage in the same call, which spares a call per
+    * stage; a stage that returns early leaves the rest to the caller.
+    */
   private def stage(s: Slot): Unit = {
     val w = s.w
-    (s.stage: @annotation.switch) match {
+    do (s.stage: @annotation.switch) match {
       case S_PF_OFF =>
         sim.prefetch(g.addrOffset(w.cur), hint)
         sim.prefetch(g.addrOffset(w.cur + 1), hint) // same line 15/16 of the time
@@ -228,7 +231,7 @@ private[core] class SdgEngine(
         sim.compute(2)
         if (s.y < p) finishStep(s, e)
         else { sim.mispredict(0.7); openGen(); orejDraw(s) }
-    }
+    } while (!interleaved && !w.done)
   }
 
   /** Edge `e` is sampled: prefetch its neighbor id for the final stage. */
