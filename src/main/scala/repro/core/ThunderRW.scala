@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.SparkContext
+import org.apache.spark.{SparkContext, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.graph.CSRGraph
@@ -44,8 +44,9 @@ final case class RunSummary(
 /** ThunderRW's top level: splits the query set into contiguous id blocks,
   * one per simulated worker (the paper's static scheduling, §4.2), and runs
   * one engine per block in a single-stage Spark job over a broadcast CSR
-  * graph. Results come back as walks in id order plus per-worker simulator
-  * statistics; `walksToSteps` turns walks into a Dataset for analysis.
+  * graph, with one Spark task per host core. Results come back as walks in
+  * id order plus per-worker simulator statistics; `walksToSteps` turns
+  * walks into a Dataset for analysis.
   */
 object ThunderRW {
 
@@ -83,11 +84,13 @@ object ThunderRW {
     new SdgEngine(g, app, sampling, tables, new MemSim(cfg), kind, taskRing, hint, overhead).run(walkers)
 
   /** Distributed run: `nQueries` walkers, `sources(i)` the start vertex of
-    * walker i, split over `threads` simulated workers (Spark partitions).
-    * Worker t runs ids `[t·n/threads, (t+1)·n/threads)` in ascending order,
+    * walker i, split over `threads` simulated workers. Worker t runs ids
+    * `[t·n/threads, (t+1)·n/threads)` in ascending order on its own engine,
     * as OpenMP's `schedule(static)` would, so the split and every simulated
-    * number are independent of the host's core count. A worker with no ids
-    * yields no [[PartResult]]; walks come back in ascending id order.
+    * number are independent of the host's core count. The workers run in
+    * `min(threads, defaultParallelism)` Spark tasks, each a contiguous range
+    * of workers. A worker with no ids yields no [[PartResult]]; walks come
+    * back in ascending id order.
     *
     * The graph broadcast is cached across calls on the same context and
     * graph (see `graphBroadcast`), so runs on one session must not overlap
@@ -109,35 +112,35 @@ object ThunderRW {
     // systems run it on all threads.
     val preprocSeconds = preprocCycles / (cfg.freqGhz * 1e9) / threads
 
+    // Build one engine here, as every worker will: its constructor and
+    // MemSim's reject bad settings on the driver, not inside a task.
+    new SdgEngine(g, app, sampling, tables, new MemSim(cfg), kind, taskRing, hint, overhead)
+
     val sc = spark.sparkContext
     val bg = graphBroadcast(sc, g)
-    val bt = Option(tables).map(sc.broadcast(_))
-    // One (first id, sources) block per worker; parallelize puts exactly
-    // one element in each of `threads` slices.
+    val bt = if (tables == null) null else sc.broadcast(tables)
+    // One (first id, sources) block per worker. parallelize slices the
+    // blocks contiguously, so task j runs a range of workers in ascending
+    // order and the results come back in worker order.
     val blocks = (0 until threads).map { t =>
       val lo = (t.toLong * nQueries / threads).toInt
       val hi = ((t + 1).toLong * nQueries / threads).toInt
       (lo, java.util.Arrays.copyOfRange(sources, lo, hi))
     }
-    val parts =
-      try sc.parallelize(blocks, threads).flatMap { case (lo, src) =>
-        if (src.isEmpty) None
-        else {
-          val walkers = Array.tabulate(src.length)(i => new Walker(lo + i, src(i), seed))
-          val res = runLocal(bg.value, app, sampling, kind, bt.map(_.value).orNull, walkers,
-            cfg, taskRing, hint, overhead)
-          val walks =
-            if (keepWalks) walkers.indices.map { i =>
-              val w = walkers(i)
-              WalkRow(w.id.toLong, w.source, w.length, ArraySeq.unsafeWrapArray(res.walks(i)))
-            }
-            else Seq.empty[WalkRow]
-          Some(PartResult(res.stats, res.steps,
-            res.phases.computeP, res.phases.init, res.phases.gen, res.phases.other,
-            walks))
-        }
-      }.collect().toSeq
-      finally bt.foreach(_.destroy())
+    val tasks = math.min(threads, sc.defaultParallelism)
+    val task = new WorkerBlocksTask(bg, bt, app, sampling, kind, cfg, taskRing, hint, overhead,
+      seed, keepWalks)
+    val results =
+      try sc.runJob(sc.parallelize(blocks, tasks), task).flatten
+      finally if (bt != null) bt.destroy()
+    val parts = blocks.filter(_._2.nonEmpty).zip(results).map { case ((lo, src), res) =>
+      val walks = ArraySeq.tabulate(res.walks.length) { i =>
+        val path = res.walks(i)
+        WalkRow(lo + i, src(i), path.length - 1, ArraySeq.unsafeWrapArray(path))
+      }
+      PartResult(res.stats, res.steps,
+        res.phases.computeP, res.phases.init, res.phases.gen, res.phases.other, walks)
+    }
     RunSummary(parts.flatMap(_.walks), parts, preprocSeconds)
   }
 
@@ -171,4 +174,26 @@ object ThunderRW {
       .withColumnRenamed("_1", "walk_id").withColumnRenamed("_2", "pos")
       .withColumnRenamed("_3", "vertex").as[(Long, Int, Int)]
   }
+}
+
+/** The task of [[ThunderRW.run]]: runs each non-empty (first id, sources)
+  * block of its partition on a fresh engine and returns the engines'
+  * results, in block order, with the walks dropped unless `keepWalks`.
+  * A named class rather than a lambda, so Spark's closure cleaner has no
+  * enclosing class files to parse when the job is submitted.
+  */
+private[core] final class WorkerBlocksTask(
+    graph: Broadcast[CSRGraph], tables: Broadcast[StaticTables],
+    app: RandomWalkApp, sampling: SamplingMethod.Value, kind: EngineKind.Value,
+    cfg: MemConfig, taskRing: Int, hint: PrefetchHint.Value, overhead: Overhead,
+    seed: Long, keepWalks: Boolean,
+) extends ((TaskContext, Iterator[(Int, Array[Int])]) => Array[EngineResult]) with Serializable {
+
+  def apply(ctx: TaskContext, blocks: Iterator[(Int, Array[Int])]): Array[EngineResult] =
+    blocks.filter(_._2.nonEmpty).map { case (lo, src) =>
+      val walkers = Array.tabulate(src.length)(i => new Walker(lo + i, src(i), seed))
+      val res = ThunderRW.runLocal(graph.value, app, sampling, kind,
+        if (tables == null) null else tables.value, walkers, cfg, taskRing, hint, overhead)
+      if (keepWalks) res else res.copy(walks = Array.empty[Array[Int]])
+    }.toArray
 }

@@ -49,7 +49,10 @@ final class CSRGraph(
     false
   }
 
-  def maxDegree: Int = {
+  /** Largest out-degree, scanned once at construction: engines size their
+    * gather buffers by it on every slot.
+    */
+  val maxDegree: Int = {
     var m = 0; var v = 0
     while (v < numVertices) { val d = degree(v); if (d > m) m = d; v += 1 }
     m

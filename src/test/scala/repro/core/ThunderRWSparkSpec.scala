@@ -1,6 +1,9 @@
 package repro.core
 
+import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 import repro.{GraphFixtures, Oracle, SparkSpec}
 import repro.graph.CSRGraph
 import repro.memsim.{MemConfig, SimStats}
@@ -32,7 +35,7 @@ class ThunderRWSparkSpec extends SparkSpec with GraphFixtures {
       a.pipelineWidth == b.pipelineWidth && a.lineBytes == b.lineBytes
   }
 
-  for ((n, threads) <- Seq((100, 1), (100, 3), (5, 8))) {
+  for ((n, threads) <- Seq((100, 1), (100, 3), (5, 8), (97, 10))) {
     test(s"worker t runs ids [t*n/threads, (t+1)*n/threads): n=$n threads=$threads") {
       val sum = sparkRun(n, threads)
       assert(sum.walks.map(_.id) == (0L until n.toLong), "walks not in ascending id order")
@@ -72,6 +75,31 @@ class ThunderRWSparkSpec extends SparkSpec with GraphFixtures {
     val e2 = intercept[IllegalArgumentException](ThunderRW.run(spark, g, new Apps.DeepWalk(5),
       SamplingMethod.OREJ, EngineKind.Sequential, -1, src, threads = 2, cfg = cfg))
     assert(e2.getMessage.contains("nQueries must be non-negative"))
+    val e3 = intercept[IllegalArgumentException](ThunderRW.run(spark, g, new Apps.DeepWalk(5),
+      SamplingMethod.OREJ, EngineKind.Interleaved, 10, src, threads = 2, cfg = cfg, taskRing = 0))
+    assert(e3.getMessage.contains("taskRing must be at least 1"))
+    val e4 = intercept[IllegalArgumentException](ThunderRW.run(spark, g, new Apps.DeepWalk(5),
+      SamplingMethod.OREJ, EngineKind.Sequential, 10, src, threads = 2, cfg = cfg.copy(mshrs = 0)))
+    assert(e4.getMessage.contains("mshrs 0 must be at least 1"))
+  }
+
+  test("ten simulated workers run in one job of min(10, defaultParallelism) tasks") {
+    val sc = spark.sparkContext
+    val group = "thunderrw-task-count"
+    sc.setJobGroup(group, "task count")
+    try sparkRun(200, threads = 10)
+    finally sc.clearJobGroup()
+    val tracker = sc.statusTracker
+    // The status store is fed by the listener bus, which lags the job.
+    eventually(timeout(Span(10, Seconds))) {
+      val jobs = tracker.getJobIdsForGroup(group).toSeq
+      assert(jobs.size == 1, s"jobs in the group: $jobs")
+      val job = tracker.getJobInfo(jobs.head).get
+      assert(job.status == JobExecutionStatus.SUCCEEDED)
+      assert(job.stageIds.length == 1)
+      assert(tracker.getStageInfo(job.stageIds.head).get.numTasks ==
+        math.min(10, sc.defaultParallelism))
+    }
   }
 
   test("spark run returns one walk per query with correct sources") {
