@@ -6,7 +6,7 @@ import repro.graph.GraphGen
 import repro.systems.Systems
 
 /** Benchmark suites, one per reproduced paper table, at full scale.
-  * Each prints the table (captured in bench_output.txt) and asserts the
+  * Each prints its table to the test output and asserts the
   * paper's qualitative shape. REPRO_DATASETS can restrict Table 6/9 to a
   * comma-separated subset of dataset keys.
   */

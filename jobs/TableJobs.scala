@@ -15,6 +15,10 @@ object JobSpark {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", "false")
       .getOrCreate()
+
+  /** The dataset keys named on the command line, or every dataset. */
+  def keys(args: Array[String]): Seq[String] =
+    if (args.nonEmpty) args.toSeq else repro.graph.GraphGen.datasets.map(_.key)
 }
 
 object Table1Job {
@@ -28,16 +32,14 @@ object Table2Job {
 object Table5Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSpark.session("table5")
-    val keys = if (args.nonEmpty) args.toSeq else repro.graph.GraphGen.datasets.map(_.key)
-    Tables.table5(spark, keys); ()
+    Tables.table5(spark, JobSpark.keys(args)); ()
   }
 }
 
 object Table6Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSpark.session("table6")
-    val keys = if (args.nonEmpty) args.toSeq else repro.graph.GraphGen.datasets.map(_.key)
-    Tables.table6(spark, keys); ()
+    Tables.table6(spark, JobSpark.keys(args)); ()
   }
 }
 
@@ -51,8 +53,7 @@ object Table78Job {
 object Table9Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSpark.session("table9")
-    val keys = if (args.nonEmpty) args.toSeq else repro.graph.GraphGen.datasets.map(_.key)
-    Tables.table9(spark, keys); ()
+    Tables.table9(spark, JobSpark.keys(args)); ()
   }
 }
 

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.CSRGraph
-import repro.memsim.{MemConfig, MemSim}
+import repro.memsim.MemConfig
 import repro.sampling.{SamplingMethod, StaticTables}
 
 /** Ring-size auto-tuning (§5.4): pre-execute short static walks, sweep the
@@ -14,23 +14,14 @@ object RingTuner {
   final case class Tuning(
       kNaive: Int, kAlias: Int, kIts: Int, kRej: Int, kOrej: Int,
       simulatedSeconds: Double, wallSeconds: Double,
-  ) {
-    def k(m: SamplingMethod.Value): Int = m match {
-      case SamplingMethod.NAIVE => kNaive
-      case SamplingMethod.ALIAS => kAlias
-      case SamplingMethod.ITS   => kIts
-      case SamplingMethod.REJ   => kRej
-      case SamplingMethod.OREJ  => kOrej
-    }
-  }
+  )
 
   private def tuneRun(g: CSRGraph, app: RandomWalkApp, m: SamplingMethod.Value,
                       tables: StaticTables, k: Int, n: Int, cfg: MemConfig): Double = {
     val sources = Array.tabulate(n)(i => ((i.toLong * 2654435761L) % g.numVertices).toInt)
     val walkers = ThunderRW.makeWalkers(0 until n, sources, seed = 99L)
-    val sim = new MemSim(cfg)
-    new RingEngine(g, app, m, tables, sim, k).run(walkers)
-    sim.seconds
+    ThunderRW.runLocal(g, app, m, EngineKind.Interleaved, tables, walkers, cfg, taskRing = k)
+      .stats.seconds
   }
 
   def tune(g: CSRGraph, cfg: MemConfig = MemConfig(), maxK: Int = 1024): Tuning = {

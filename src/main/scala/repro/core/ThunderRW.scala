@@ -14,8 +14,11 @@ object EngineKind extends Enumeration {
   val Sequential, Interleaved, Amac = Value
 }
 
-/** One emitted walk: query id, source, steps taken, vertex sequence. */
-final case class WalkRow(id: Long, source: Int, len: Int, path: Seq[Int])
+/** One emitted walk: query id and vertex sequence, source first. */
+final case class WalkRow(id: Long, path: Seq[Int]) {
+  def source: Int = path.head
+  def len: Int = path.length - 1 // steps taken
+}
 
 /** Per-partition engine output shipped back to the driver. */
 final case class PartResult(
@@ -31,11 +34,11 @@ final case class RunSummary(
     preprocSeconds: Double,
 ) {
   def steps: Long = parts.map(_.steps).sum
-  def stats: SimStats = parts.map(_.stats).foldLeft(SimStats.zero)(_ + _)
-  /** Parallel makespan: slowest simulated worker, plus preprocessing. */
+  // `+` keeps its left operand's MemConfig fields, so reduce, not fold from zero.
+  def stats: SimStats = parts.map(_.stats).reduceOption(_ + _).getOrElse(SimStats.zero)
+  /** Parallel makespan: the slowest simulated worker. */
   def execSeconds: Double = if (parts.isEmpty) 0.0 else parts.map(_.stats.seconds).max
   def totalSeconds: Double = execSeconds + preprocSeconds
-  def throughput: Double = if (execSeconds <= 0) 0.0 else steps / execSeconds
   def phases: PhaseBreakdown = parts.foldLeft(PhaseBreakdown.zero) { (acc, p) =>
     acc + PhaseBreakdown(p.computeP, p.init, p.gen, p.other)
   }
@@ -135,8 +138,7 @@ object ThunderRW {
       finally if (bt != null) bt.destroy()
     val parts = blocks.filter(_._2.nonEmpty).zip(results).map { case ((lo, src), res) =>
       val walks = ArraySeq.tabulate(res.walks.length) { i =>
-        val path = res.walks(i)
-        WalkRow(lo + i, src(i), path.length - 1, ArraySeq.unsafeWrapArray(path))
+        WalkRow(lo + i, ArraySeq.unsafeWrapArray(res.walks(i)))
       }
       PartResult(res.stats, res.steps,
         res.phases.computeP, res.phases.init, res.phases.gen, res.phases.other, walks)

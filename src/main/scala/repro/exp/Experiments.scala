@@ -3,9 +3,9 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.graph.{CSRGraph, GraphGen}
-import repro.memsim.{MemConfig, MemSim, SimStats}
+import repro.memsim.{MemConfig, PrefetchHint}
 import repro.sampling.SamplingMethod
-import repro.systems.{Systems, SystemSpec}
+import repro.systems.SystemSpec
 
 /** Shared experiment harness: dataset cache, workload construction and the
   * (system × app × dataset) cell runner used by every table.
@@ -21,13 +21,14 @@ object Experiments {
   def scale: Double =
     scaleOverride.getOrElse(sys.env.get("REPRO_SCALE").map(_.toDouble).getOrElse(1.0))
 
+  /** A paper query count `x` at the current scale, never below 16. */
+  def scaled(x: Int): Int = math.max(16, (x * scale).toInt)
+
   private val cache = scala.collection.mutable.Map.empty[String, CSRGraph]
 
   def graph(spark: SparkSession, key: String): CSRGraph = synchronized {
     cache.getOrElseUpdate(key, GraphGen.build(spark, key))
   }
-
-  def clearGraphCache(): Unit = synchronized { cache.clear() }
 
   /** Highest-degree vertex: the paper's "given vertex" for PPR / the BFS
     * and SSSP source.
@@ -62,52 +63,38 @@ object Experiments {
       case "Node2Vec" | "MetaPath" => math.min(g.numVertices, 400) // per-step gather cells
       case _ => math.min(g.numVertices, 1200)
     }
-    math.max(16, (base * scale).toInt)
+    scaled(base)
   }
 
   /** Source vertex per query id: PPR is single-source; the others start
     * from (deterministically) random vertices across the graph.
     */
   def sources(app: String, g: CSRGraph, n: Int, seed: Long = 5L): Array[Int] =
-    if (app == "PPR") Array.fill(n)(hubVertex(g))
+    if (app == "PPR") { val hub = hubVertex(g); Array.fill(n)(hub) }
     else {
       val rng = new java.util.SplittableRandom(seed)
       Array.fill(n)(rng.nextInt(g.numVertices))
     }
 
-  final case class CellResult(
-      system: String, app: String, dataset: String,
-      execSeconds: Double, preprocSeconds: Double, steps: Long,
-      stats: SimStats,
-  ) {
-    def totalSeconds: Double = execSeconds + preprocSeconds
-  }
-
   /** Run one Table 6 cell. */
   def runCell(spark: SparkSession, sys: SystemSpec, appName: String,
-              dataset: String, taskRing: Int = 64): CellResult = {
+              dataset: String): RunSummary = {
     val g = graph(spark, dataset)
-    val app = makeApp(appName, g)
     val n = nQueries(appName, dataset, g)
-    val src = sources(appName, g, n)
-    val sum = ThunderRW.run(spark, g, app, sys.samplingFor(appName), sys.kind,
-      n, src, threads = sys.threads, cfg = cfg, taskRing = taskRing,
+    ThunderRW.run(spark, g, makeApp(appName, g), sys.samplingFor(appName), sys.kind,
+      n, sources(appName, g, n), threads = sys.threads, cfg = cfg,
       overhead = sys.overhead, keepWalks = false)
-    CellResult(sys.name, appName, dataset, sum.execSeconds, sum.preprocSeconds,
-      sum.steps, sum.stats)
   }
 
-  /** Single-worker profiling run (no Spark): used by the TMAM tables.
-    * Returns (per-worker stats, steps, phases).
+  /** Single-worker run (no Spark) of `n` walks of `appName` from its
+    * sources: the one run path of the profiling tables (1, 2, 7, 8, 10–13).
     */
   def profileRun(g: CSRGraph, appName: String, sampling: SamplingMethod.Value,
                  kind: EngineKind.Value, n: Int, length: Int = 80,
-                 taskRing: Int = 64): (SimStats, Long, PhaseBreakdown) = {
-    val app: RandomWalkApp = makeApp(appName, g, length)
-    val src = sources(if (appName == "PPR") "PPR" else "x", g, n)
+                 hint: PrefetchHint.Value = PrefetchHint.T0): EngineResult = {
+    val app = makeApp(appName, g, length)
     val (tables, _) = ThunderRW.preprocess(g, app, sampling, cfg, charge = false)
-    val walkers = ThunderRW.makeWalkers(0 until n, src, seed = 2021L)
-    val res = ThunderRW.runLocal(g, app, sampling, kind, tables, walkers, cfg, taskRing)
-    (res.stats, res.steps, res.phases)
+    val walkers = ThunderRW.makeWalkers(0 until n, sources(appName, g, n), seed = 2021L)
+    ThunderRW.runLocal(g, app, sampling, kind, tables, walkers, cfg, hint = hint)
   }
 }

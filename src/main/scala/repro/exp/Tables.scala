@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.graph.GraphGen
-import repro.memsim.{MemSim, PrefetchHint, SimStats, Tmam}
+import repro.memsim.{PrefetchHint, Tmam}
 import repro.sampling.SamplingMethod
 import repro.systems.{GraphAlgos, Systems}
 
@@ -16,6 +16,36 @@ object Tables {
   val ProfileGraph = "lj" // the paper's representative graph
   val Threads: Int = Systems.Threads
 
+  // §3 profiling configs (Tables 1 and 2): BL-style samplers.
+  private val ProfileApps = Seq(
+    ("PPR", SamplingMethod.NAIVE),
+    ("DeepWalk", SamplingMethod.ALIAS),
+    ("Node2Vec", SamplingMethod.ALIAS),
+    ("MetaPath", SamplingMethod.ALIAS),
+  )
+
+  // One (label, app, sampler) row per sampling method (Tables 10 and 13).
+  private val SamplerRows = Seq(
+    ("NAIVE", "DeepWalk-unbiased", SamplingMethod.NAIVE),
+    ("ITS", "DeepWalk", SamplingMethod.ITS),
+    ("ALIAS", "DeepWalk", SamplingMethod.ALIAS),
+    ("REJ", "DeepWalk", SamplingMethod.REJ),
+    ("O-REJ", "DeepWalk", SamplingMethod.OREJ),
+  )
+
+  /** (instructions, cycles) per step of a run. */
+  private def perStep(r: EngineResult): (Double, Double) = {
+    val steps = math.max(1L, r.steps)
+    (r.stats.instructions.toDouble / steps, r.stats.cycles / steps)
+  }
+
+  /** A TMAM table with a bandwidth column: one (label, tmam, GB/s) per row. */
+  private def printTmam(title: String, rows: Seq[(String, Tmam, Double)]): Unit = {
+    println(s"\n== $title ==")
+    println(Tmam.header + f"  ${"BW GB/s"}%8s")
+    rows.foreach { case (label, tmam, bw) => println(tmam.row(label) + f"  $bw%8.1f") }
+  }
+
   // ---- Table 1: pipeline slots + bandwidth, RW vs BFS/SSSP ---------------
   final case class BreakdownRow(method: String, tmam: Tmam, bandwidthGBs: Double,
                                 cyclesPerStep: Double, instrPerStep: Double)
@@ -23,34 +53,23 @@ object Tables {
   def table1(spark: SparkSession): Seq[BreakdownRow] = {
     val g = graph(spark, ProfileGraph)
     val hub = hubVertex(g)
-    val nRW = math.max(16, (3000 * scale).toInt)
+    val nRW = scaled(3000)
 
     val bfsStats = GraphAlgos.bfsStats(g, hub, cfg)
     val ssspStats = GraphAlgos.ssspStats(g, hub, cfg)
 
-    // §3 profiling configs: BL-style samplers, sequential engine.
-    val rw = Seq(
-      ("PPR", SamplingMethod.NAIVE),
-      ("DeepWalk", SamplingMethod.ALIAS),
-      ("Node2Vec", SamplingMethod.ALIAS),
-      ("MetaPath", SamplingMethod.ALIAS),
-    ).map { case (app, m) =>
-      val (s, steps, _) = profileRun(g, app, m, EngineKind.Sequential, nRW)
-      BreakdownRow(app, s.tmam, s.bandwidthGBs(Threads),
-        s.cycles / math.max(1, steps), s.instructions.toDouble / math.max(1, steps))
+    val rw = ProfileApps.map { case (app, m) =>
+      val r = profileRun(g, app, m, EngineKind.Sequential, nRW)
+      val (instr, cycles) = perStep(r)
+      BreakdownRow(app, r.stats.tmam, r.stats.bandwidthGBs(Threads), cycles, instr)
     }
     val rows =
       BreakdownRow("BFS", bfsStats.tmam, bfsStats.bandwidthGBs(Threads), 0, 0) +:
       BreakdownRow("SSSP", ssspStats.tmam, ssspStats.bandwidthGBs(Threads), 0, 0) +:
       rw
-    print1(rows, "Table 1: pipeline slot breakdown and memory bandwidth")
+    printTmam("Table 1: pipeline slot breakdown and memory bandwidth",
+      rows.map(r => (r.method, r.tmam, r.bandwidthGBs)))
     rows
-  }
-
-  private def print1(rows: Seq[BreakdownRow], title: String): Unit = {
-    println(s"\n== $title ==")
-    println(Tmam.header + f"  ${"BW GB/s"}%8s")
-    rows.foreach(r => println(r.tmam.row(r.method) + f"  ${r.bandwidthGBs}%8.1f"))
   }
 
   // ---- Table 2: per-step time breakdown ----------------------------------
@@ -58,14 +77,9 @@ object Tables {
 
   def table2(spark: SparkSession): Seq[Table2Row] = {
     val g = graph(spark, ProfileGraph)
-    val n = math.max(16, (2000 * scale).toInt)
-    val rows = Seq(
-      ("PPR", SamplingMethod.NAIVE),
-      ("DeepWalk", SamplingMethod.ALIAS),
-      ("Node2Vec", SamplingMethod.ALIAS),
-      ("MetaPath", SamplingMethod.ALIAS),
-    ).map { case (app, m) =>
-      val (_, _, ph) = profileRun(g, app, m, EngineKind.Sequential, n)
+    val n = scaled(2000)
+    val rows = ProfileApps.map { case (app, m) =>
+      val ph = profileRun(g, app, m, EngineKind.Sequential, n).phases
       // Normalise over the sampling-related phases, as in the paper.
       val t = ph.computeP + ph.init + ph.gen
       if (t <= 0) Table2Row(app, 0, 0, 0)
@@ -134,39 +148,29 @@ object Tables {
   val Lengths: Seq[Int] = Seq(5, 10, 20, 40, 80, 160)
   val Counts: Seq[Int] = Seq(100, 1000, 3000, 10000, 30000)
 
-  private def varyLength(spark: SparkSession, kind: EngineKind.Value): Seq[VaryRow] = {
+  /** DeepWalk/ALIAS TMAM rows, one per (param, n, length) run. */
+  private def vary(spark: SparkSession, kind: EngineKind.Value, title: String,
+                   runs: Seq[(Int, Int, Int)]): Seq[VaryRow] = {
     val g = graph(spark, ProfileGraph)
-    Lengths.map { len =>
-      val n = math.max(16, (3000 * scale).toInt)
-      val (s, _, _) = profileRun(g, "DeepWalk", SamplingMethod.ALIAS, kind, n, length = len)
-      VaryRow(len.toLong, s.tmam, s.bandwidthGBs(Threads))
+    val rows = runs.map { case (param, n, len) =>
+      val s = profileRun(g, "DeepWalk", SamplingMethod.ALIAS, kind, n, length = len).stats
+      VaryRow(param.toLong, s.tmam, s.bandwidthGBs(Threads))
     }
-  }
-
-  private def varyCount(spark: SparkSession, kind: EngineKind.Value): Seq[VaryRow] = {
-    val g = graph(spark, ProfileGraph)
-    Counts.map { n0 =>
-      val n = math.max(16, (n0 * scale).toInt)
-      val (s, _, _) = profileRun(g, "DeepWalk", SamplingMethod.ALIAS, kind, n)
-      VaryRow(n0.toLong, s.tmam, s.bandwidthGBs(Threads))
-    }
-  }
-
-  private def printVary(rows: Seq[VaryRow], title: String): Seq[VaryRow] = {
-    println(s"\n== $title ==")
-    println(Tmam.header + f"  ${"BW GB/s"}%8s")
-    rows.foreach(r => println(r.tmam.row(r.param.toString) + f"  ${r.bandwidthGBs}%8.1f"))
+    printTmam(title, rows.map(r => (r.param.toString, r.tmam, r.bandwidthGBs)))
     rows
   }
 
+  private def byLength: Seq[(Int, Int, Int)] = Lengths.map(len => (len, scaled(3000), len))
+  private def byCount: Seq[(Int, Int, Int)] = Counts.map(n => (n, scaled(n), 80))
+
   def table7(spark: SparkSession): Seq[VaryRow] =
-    printVary(varyLength(spark, EngineKind.Sequential), "Table 7: wo/si, length varying")
+    vary(spark, EngineKind.Sequential, "Table 7: wo/si, length varying", byLength)
   def table8(spark: SparkSession): Seq[VaryRow] =
-    printVary(varyCount(spark, EngineKind.Sequential), "Table 8: wo/si, #queries varying")
+    vary(spark, EngineKind.Sequential, "Table 8: wo/si, #queries varying", byCount)
   def table11(spark: SparkSession): Seq[VaryRow] =
-    printVary(varyLength(spark, EngineKind.Interleaved), "Table 11: w/si, length varying")
+    vary(spark, EngineKind.Interleaved, "Table 11: w/si, length varying", byLength)
   def table12(spark: SparkSession): Seq[VaryRow] =
-    printVary(varyCount(spark, EngineKind.Interleaved), "Table 12: w/si, #queries varying")
+    vary(spark, EngineKind.Interleaved, "Table 12: w/si, #queries varying", byCount)
 
   // ---- Table 9: ring tuning time -----------------------------------------
   final case class Table9Row(dataset: String, simSeconds: Double, wallSeconds: Double,
@@ -192,24 +196,10 @@ object Tables {
 
   def table10(spark: SparkSession): Seq[Table10Row] = {
     val g = graph(spark, ProfileGraph)
-    val n = math.max(16, (2000 * scale).toInt)
-    val methods = Seq(
-      ("NAIVE", "DeepWalk-unbiased", SamplingMethod.NAIVE),
-      ("ITS", "DeepWalk", SamplingMethod.ITS),
-      ("ALIAS", "DeepWalk", SamplingMethod.ALIAS),
-      ("REJ", "DeepWalk", SamplingMethod.REJ),
-      ("O-REJ", "DeepWalk", SamplingMethod.OREJ),
-    )
-    val rows = methods.map { case (label, app, m) =>
-      def sec(h: PrefetchHint.Value): Double = {
-        val gph = graph(spark, ProfileGraph)
-        val (tables, _) = ThunderRW.preprocess(gph, Experiments.makeApp(app, gph), m, cfg, charge = false)
-        val src = sources("x", gph, n)
-        val walkers = ThunderRW.makeWalkers(0 until n, src, seed = 2021L)
-        val res = ThunderRW.runLocal(gph, Experiments.makeApp(app, gph), m,
-          EngineKind.Interleaved, tables, walkers, cfg, 64, h)
-        res.stats.seconds
-      }
+    val n = scaled(2000)
+    val rows = SamplerRows.map { case (label, app, m) =>
+      def sec(h: PrefetchHint.Value): Double =
+        profileRun(g, app, m, EngineKind.Interleaved, n, hint = h).stats.seconds
       val base = sec(PrefetchHint.T0)
       Table10Row(label, 1.0, base / sec(PrefetchHint.T1), base / sec(PrefetchHint.T2),
         base / sec(PrefetchHint.NTA))
@@ -227,22 +217,12 @@ object Tables {
 
   def table13(spark: SparkSession): Seq[Table13Row] = {
     val g = graph(spark, ProfileGraph)
-    val n = math.max(16, (3000 * scale).toInt)
-    val methods = Seq(
-      ("NAIVE", "DeepWalk-unbiased", SamplingMethod.NAIVE),
-      ("ITS", "DeepWalk", SamplingMethod.ITS),
-      ("ALIAS", "DeepWalk", SamplingMethod.ALIAS),
-      ("REJ", "DeepWalk", SamplingMethod.REJ),
-      ("O-REJ", "DeepWalk", SamplingMethod.OREJ),
-    )
-    val rows = methods.map { case (label, app, m) =>
-      def perStep(kind: EngineKind.Value): (Double, Double) = {
-        val (s, steps, _) = profileRun(g, app, m, kind, n)
-        (s.instructions.toDouble / math.max(1, steps), s.cycles / math.max(1, steps))
-      }
-      val (iWo, cWo) = perStep(EngineKind.Sequential)
-      val (iW, cW) = perStep(EngineKind.Interleaved)
-      val (iA, cA) = perStep(EngineKind.Amac)
+    val n = scaled(3000)
+    val rows = SamplerRows.map { case (label, app, m) =>
+      def run(kind: EngineKind.Value) = perStep(profileRun(g, app, m, kind, n))
+      val (iWo, cWo) = run(EngineKind.Sequential)
+      val (iW, cW) = run(EngineKind.Interleaved)
+      val (iA, cA) = run(EngineKind.Amac)
       Table13Row(label, iWo, iW, iA, cWo, cW, cA)
     }
     println("\n== Table 13: instructions and cycles per step ==")

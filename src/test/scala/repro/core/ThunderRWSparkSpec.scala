@@ -24,9 +24,9 @@ class ThunderRWSparkSpec extends SparkSpec with GraphFixtures {
   }
 
   private def sparkRun(n: Int, threads: Int, kind: EngineKind.Value = EngineKind.Interleaved,
-                       graph: CSRGraph = g) =
+                       graph: CSRGraph = g, memCfg: MemConfig = cfg) =
     ThunderRW.run(spark, graph, new Apps.DeepWalk(12), SamplingMethod.ALIAS, kind, n,
-      randomSources(graph, n), threads = threads, cfg = cfg)
+      randomSources(graph, n), threads = threads, cfg = memCfg)
 
   private def sameBits(a: SimStats, b: SimStats): Boolean = {
     def bits(s: SimStats) = Seq(s.cycles, s.computeCycles, s.memStallCycles, s.coreStallCycles,
@@ -123,9 +123,12 @@ class ThunderRWSparkSpec extends SparkSpec with GraphFixtures {
   }
 
   test("per-partition stats aggregate to the run totals") {
-    val sum = sparkRun(100, threads = 4)
+    val sum = sparkRun(100, threads = 4, memCfg = MemConfig(freqGhz = 3.0))
     assert(sum.steps == sum.walks.map(_.len.toLong).sum)
     assert(sum.stats.cycles > 0)
+    assert(sum.stats.cycles == sum.parts.map(_.stats.cycles).sum)
+    assert(sum.stats.freqGhz == 3.0, "totals lost the run's MemConfig")
+    assert(sum.stats.seconds == sum.stats.cycles / 3e9)
     assert(sum.execSeconds <= sum.parts.map(_.stats.seconds).sum + 1e-9)
   }
 
