@@ -20,28 +20,19 @@ final case class WalkRow(id: Long, path: Seq[Int]) {
   def len: Int = path.length - 1 // steps taken
 }
 
-/** Per-partition engine output shipped back to the driver. */
-final case class PartResult(
-    stats: SimStats, steps: Long,
-    computeP: Double, init: Double, gen: Double, other: Double,
-    walks: Seq[WalkRow],
-)
+/** One simulated worker's output, as the driver keeps it. */
+final case class PartResult(stats: SimStats, steps: Long, walks: Seq[WalkRow])
 
-/** Driver-side summary of one run. */
-final case class RunSummary(
-    walks: Seq[WalkRow],
-    parts: Seq[PartResult],
-    preprocSeconds: Double,
-) {
+/** Driver-side summary of one run: a [[PartResult]] per worker with ids, in worker order. */
+final case class RunSummary(parts: Seq[PartResult], preprocSeconds: Double) {
+  /** Every worker's walks, in ascending id order. */
+  lazy val walks: Seq[WalkRow] = parts.flatMap(_.walks)
   def steps: Long = parts.map(_.steps).sum
   // `+` keeps its left operand's MemConfig fields, so reduce, not fold from zero.
   def stats: SimStats = parts.map(_.stats).reduceOption(_ + _).getOrElse(SimStats.zero)
   /** Parallel makespan: the slowest simulated worker. */
   def execSeconds: Double = if (parts.isEmpty) 0.0 else parts.map(_.stats.seconds).max
   def totalSeconds: Double = execSeconds + preprocSeconds
-  def phases: PhaseBreakdown = parts.foldLeft(PhaseBreakdown.zero) { (acc, p) =>
-    acc + PhaseBreakdown(p.computeP, p.init, p.gen, p.other)
-  }
 }
 
 /** ThunderRW's top level: splits the query set into contiguous id blocks,
@@ -92,8 +83,9 @@ object ThunderRW {
     * as OpenMP's `schedule(static)` would, so the split and every simulated
     * number are independent of the host's core count. The workers run in
     * `min(threads, defaultParallelism)` Spark tasks, each a contiguous range
-    * of workers. A worker with no ids yields no [[PartResult]]; walks come
-    * back in ascending id order.
+    * of workers. The summary's walks come back in ascending id order (none
+    * unless `keepWalks`); its `preprocSeconds` is the static preprocessing
+    * time split over `threads` workers.
     *
     * The graph broadcast is cached across calls on the same context and
     * graph (see `graphBroadcast`), so runs on one session must not overlap
@@ -140,10 +132,9 @@ object ThunderRW {
       val walks = ArraySeq.tabulate(res.walks.length) { i =>
         WalkRow(lo + i, ArraySeq.unsafeWrapArray(res.walks(i)))
       }
-      PartResult(res.stats, res.steps,
-        res.phases.computeP, res.phases.init, res.phases.gen, res.phases.other, walks)
+      PartResult(res.stats, res.steps, walks)
     }
-    RunSummary(parts.flatMap(_.walks), parts, preprocSeconds)
+    RunSummary(parts, preprocSeconds)
   }
 
   // One-slot cache of the CSR broadcast, keyed by reference identity on

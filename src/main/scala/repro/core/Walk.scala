@@ -10,7 +10,7 @@ import repro.memsim.MemSim
   * engine runs it and in what interleaving order. The engine-equivalence
   * tests rely on this.
   */
-final class Walker(val id: Int, val source: Int, seedBase: Long) {
+final class Walker(val id: Int, source: Int, seedBase: Long) {
   val rng = new java.util.SplittableRandom(seedBase ^ (id * 0x9E3779B97F4A7C15L))
   var cur: Int = source
   var prev: Int = -1

@@ -47,9 +47,7 @@ object Experiments {
     case "DeepWalk"          => new Apps.DeepWalk(length)
     case "DeepWalk-unbiased" => new Apps.DeepWalkUnbiased(length)
     case "Node2Vec"          => new Apps.Node2Vec(2.0, 0.5, length)
-    case "MetaPath" =>
-      val nLabels = if (g.hasLabels) (g.labels.max + 1) else 5
-      Apps.metaPathFor(nLabels, len = 5, targetLength = length)
+    case "MetaPath"          => Apps.metaPathFor(g.labels.max + 1, len = 5, targetLength = length)
     case other => sys.error(s"unknown app $other")
   }
 

@@ -3,8 +3,9 @@ package repro.graph
 /** Compressed-sparse-row graph, the paper's storage format (§B).
   *
   * Vertices are `0 until numVertices`; `offsets` has `numVertices + 1`
-  * entries; edge `e` (an index into `neighbors`) carries an optional
-  * weight and label, stored as parallel arrays exactly as in the paper.
+  * entries; edge `e` (an index into `neighbors`) carries a weight and a
+  * label, stored as parallel arrays exactly as in the paper. Both arrays
+  * are required and have one entry per edge.
   *
   * Every array is also mapped into a *simulated address space* (disjoint
   * 1 TB regions) so the engines can charge the memory simulator for the
@@ -19,16 +20,16 @@ final class CSRGraph(
     val labels: Array[Int],
 ) extends Serializable {
   require(offsets.length == numVertices + 1, "offsets must have V+1 entries")
+  require(weights.length == neighbors.length && labels.length == neighbors.length,
+    s"weights (${weights.length}) and labels (${labels.length}) need one entry per edge (${neighbors.length})")
 
   def numEdges: Int = neighbors.length
-  def hasWeights: Boolean = weights.length == neighbors.length
-  def hasLabels: Boolean = labels.length == neighbors.length
 
   @inline def degree(v: Int): Int = offsets(v + 1) - offsets(v)
   @inline def edgeBegin(v: Int): Int = offsets(v)
   @inline def neighbor(e: Int): Int = neighbors(e)
-  @inline def weight(e: Int): Float = if (hasWeights) weights(e) else 1.0f
-  @inline def label(e: Int): Int = if (hasLabels) labels(e) else 0
+  @inline def weight(e: Int): Float = weights(e)
+  @inline def label(e: Int): Int = labels(e)
 
   /** Binary search: is `u` a neighbor of `v`? Neighbor lists are sorted by
     * the builder; used by Node2Vec's distance check. Each probed edge

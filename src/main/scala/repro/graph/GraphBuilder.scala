@@ -5,110 +5,66 @@ import org.apache.spark.sql.functions._
 
 /** Assembles a [[CSRGraph]] from a Spark edge DataFrame.
   *
-  * The input must have columns (src INT, dst INT) and optionally
-  * (weight FLOAT, label INT). With `undirect = true` each pair is stored
-  * in both directions (the paper represents undirected graphs this way).
-  * Neighbor lists are sorted by destination so Node2Vec's `IsNeighbor`
-  * binary search works.
+  * The input must have columns (src INT, dst INT, weight FLOAT, label INT);
+  * its rows are collected to the driver and counting-sorted there. With
+  * `undirect = true` each pair is stored in both directions (the paper
+  * represents undirected graphs this way). Neighbor lists are sorted by
+  * destination, ties in input order, so Node2Vec's `IsNeighbor` binary
+  * search works.
   */
 object GraphBuilder {
 
   def fromEdges(df: DataFrame, numVertices: Int, name: String,
                 undirect: Boolean = false): CSRGraph = {
-    val hasW = df.columns.contains("weight")
-    val hasL = df.columns.contains("label")
-    val cols = Seq(col("src").cast("int"), col("dst").cast("int")) ++
-      (if (hasW) Seq(col("weight").cast("float")) else Nil) ++
-      (if (hasL) Seq(col("label").cast("int")) else Nil)
-    val rows = df.select(cols: _*).collect()
+    val required = Seq("src", "dst", "weight", "label")
+    val missing = required.filterNot(df.columns.contains)
+    require(missing.isEmpty, s"edge DataFrame needs columns ${required.mkString("(", ", ", ")")}; " +
+      s"missing ${missing.mkString(", ")}")
+    val rows = df.select(col("src").cast("int"), col("dst").cast("int"),
+      col("weight").cast("float"), col("label").cast("int")).collect()
 
+    // Input edge i runs srcs(i) -> dsts(i); an undirected pair's reverse follows it.
     val m = rows.length * (if (undirect) 2 else 1)
     val srcs = new Array[Int](m)
     val dsts = new Array[Int](m)
-    val ws = if (hasW) new Array[Float](m) else Array.emptyFloatArray
-    val ls = if (hasL) new Array[Int](m) else Array.emptyIntArray
-
+    val ws = new Array[Float](m)
+    val ls = new Array[Int](m)
     var i = 0
     rows.foreach { r =>
       val s = r.getInt(0); val d = r.getInt(1)
       require(s >= 0 && s < numVertices && d >= 0 && d < numVertices,
         s"edge ($s,$d) outside [0,$numVertices)")
-      val w = if (hasW) r.getFloat(2) else 0f
-      val l = if (hasL) r.getInt(if (hasW) 3 else 2) else 0
-      srcs(i) = s; dsts(i) = d
-      if (hasW) ws(i) = w
-      if (hasL) ls(i) = l
+      srcs(i) = s; dsts(i) = d; ws(i) = r.getFloat(2); ls(i) = r.getInt(3)
+      if (undirect) { i += 1; srcs(i) = d; dsts(i) = s; ws(i) = ws(i - 1); ls(i) = ls(i - 1) }
       i += 1
-      if (undirect) {
-        srcs(i) = d; dsts(i) = s
-        if (hasW) ws(i) = w
-        if (hasL) ls(i) = l
-        i += 1
-      }
     }
 
-    // counting sort by src, then sort each adjacency list by dst
+    // Counting sort by src places the key (dst << 32 | i) in src's slice;
+    // sorting each slice then orders it by dst, ties in input order.
     val offsets = new Array[Int](numVertices + 1)
     i = 0
     while (i < m) { offsets(srcs(i) + 1) += 1; i += 1 }
     var v = 0
     while (v < numVertices) { offsets(v + 1) += offsets(v); v += 1 }
     val cursor = java.util.Arrays.copyOf(offsets, numVertices)
-    val nbrs = new Array[Int](m)
-    val w2 = if (hasW) new Array[Float](m) else Array.emptyFloatArray
-    val l2 = if (hasL) new Array[Int](m) else Array.emptyIntArray
+    val keys = new Array[Long](m)
     i = 0
     while (i < m) {
-      val p = cursor(srcs(i)); cursor(srcs(i)) += 1
-      nbrs(p) = dsts(i)
-      if (hasW) w2(p) = ws(i)
-      if (hasL) l2(p) = ls(i)
-      i += 1
+      keys(cursor(srcs(i))) = (dsts(i).toLong << 32) | i
+      cursor(srcs(i)) += 1; i += 1
     }
     v = 0
-    while (v < numVertices) {
-      sortAdj(nbrs, w2, l2, offsets(v), offsets(v + 1), hasW, hasL)
-      v += 1
-    }
-    new CSRGraph(name, numVertices, offsets, nbrs, w2, l2)
-  }
+    while (v < numVertices) { java.util.Arrays.sort(keys, offsets(v), offsets(v + 1)); v += 1 }
 
-  /** Insertion sort of one adjacency slice by neighbor id, carrying the
-    * weight/label arrays along. Slices are small (avg degree < 100);
-    * hub vertices fall back to an index sort.
-    */
-  private def sortAdj(nbrs: Array[Int], ws: Array[Float], ls: Array[Int],
-                      from: Int, until: Int, hasW: Boolean, hasL: Boolean): Unit = {
-    val len = until - from
-    if (len < 2) return
-    if (len <= 64) {
-      var i = from + 1
-      while (i < until) {
-        val n = nbrs(i); val w = if (hasW) ws(i) else 0f; val l = if (hasL) ls(i) else 0
-        var j = i - 1
-        while (j >= from && nbrs(j) > n) {
-          nbrs(j + 1) = nbrs(j)
-          if (hasW) ws(j + 1) = ws(j)
-          if (hasL) ls(j + 1) = ls(j)
-          j -= 1
-        }
-        nbrs(j + 1) = n
-        if (hasW) ws(j + 1) = w
-        if (hasL) ls(j + 1) = l
-        i += 1
-      }
-    } else {
-      val idx = (from until until).sortBy(i => nbrs(i)).toArray
-      val tn = idx.map(nbrs)
-      val tw = if (hasW) idx.map(ws) else Array.emptyFloatArray
-      val tl = if (hasL) idx.map(ls) else Array.emptyIntArray
-      var i = 0
-      while (i < len) {
-        nbrs(from + i) = tn(i)
-        if (hasW) ws(from + i) = tw(i)
-        if (hasL) ls(from + i) = tl(i)
-        i += 1
-      }
+    val nbrs = new Array[Int](m)
+    val weights = new Array[Float](m)
+    val labels = new Array[Int](m)
+    i = 0
+    while (i < m) {
+      val e = keys(i).toInt // the low half: input index
+      nbrs(i) = (keys(i) >>> 32).toInt; weights(i) = ws(e); labels(i) = ls(e)
+      i += 1
     }
+    new CSRGraph(name, numVertices, offsets, nbrs, weights, labels)
   }
 }

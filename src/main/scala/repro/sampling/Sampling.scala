@@ -20,7 +20,6 @@ object WalkerType extends Enumeration {
   * slot, which is how the Move stage machine charges it.
   */
 final class StaticTables(
-    val method: SamplingMethod.Value,
     val aliasProb: Array[Double],
     val aliasFirst: Array[Int],
     val aliasSecond: Array[Int],
@@ -116,7 +115,7 @@ object StaticTables {
           v += 1
         }
     }
-    new StaticTables(method, aliasP, aliasA, aliasB, cdf, rejMax)
+    new StaticTables(aliasP, aliasA, aliasB, cdf, rejMax)
   }
 
   /** Walker's alias-table construction over local probabilities.

@@ -77,7 +77,7 @@ object GraphAlgos {
           sim.streamRead(g.addrNeighbor(e))
           sim.streamRead(g.addrWeight(e))
           val v = g.neighbor(e)
-          val w = if (g.hasWeights) g.weight(e) else 1f
+          val w = g.weight(e)
           sim.readOverlapped(DistBase + 4L * v)
           sim.compute(5); sim.mispredict(0.2)
           if (du + w < dist(v)) {

@@ -39,6 +39,15 @@ class GraphSpec extends SparkSpec with GraphFixtures {
     assert((0 until 3).map(i => g.neighbor(base + i)) == Seq(1, 2, 3))
     assert((0 until 3).map(i => g.weight(base + i)) == Seq(1.5f, 2.5f, 3.5f))
     assert((0 until 3).map(i => g.label(base + i)) == Seq(1, 0, 2))
+
+    // A hub (degree > 64) whose 20 destinations repeat 5 times each: ties
+    // keep input order, and each weight and label stays with its edge.
+    val hub = (0 until 100).map(k => (1, 2 + (k * 7) % 20, 1f + k / 100f, k))
+    val h = explicitGraph(22, hub)
+    val hb = h.edgeBegin(1)
+    assert(h.degree(1) == 100)
+    assert((0 until 100).map(i => (1, h.neighbor(hb + i), h.weight(hb + i), h.label(hb + i))) ==
+      hub.sortBy(_._2))
   }
 
   test("undirected build stores the reverse edge with same weight and label") {
@@ -118,6 +127,21 @@ class GraphSpec extends SparkSpec with GraphFixtures {
     import spark.implicits._
     val df = Seq((0, 99, 1.0f, 0)).toDF("src", "dst", "weight", "label")
     intercept[IllegalArgumentException](GraphBuilder.fromEdges(df, 10, "bad"))
+  }
+
+  test("builder and CSRGraph require a weight and a label per edge") {
+    import spark.implicits._
+    val bare = intercept[IllegalArgumentException](
+      GraphBuilder.fromEdges(Seq((0, 1)).toDF("src", "dst"), 2, "bare"))
+    assert(bare.getMessage.contains("(src, dst, weight, label)"), bare.getMessage)
+    assert(bare.getMessage.contains("missing weight, label"), bare.getMessage)
+    def csr(ws: Int, ls: Int) =
+      new CSRGraph("csr", 2, Array(0, 1, 1), Array(1), new Array[Float](ws), new Array[Int](ls))
+    val noW = intercept[IllegalArgumentException](csr(0, 1))
+    assert(noW.getMessage.contains("weights (0)"), noW.getMessage)
+    val badL = intercept[IllegalArgumentException](csr(1, 2))
+    assert(badL.getMessage.contains("labels (2)"), badL.getMessage)
+    assert(csr(1, 1).numEdges == 1)
   }
 }
 
