@@ -16,11 +16,7 @@ final case class Overhead(instr: Int = 0, reads: Int = 0) {
 /** Cycle split of the per-step work (Table 2 columns). */
 final case class PhaseBreakdown(computeP: Double, init: Double, gen: Double, other: Double) {
   def total: Double = computeP + init + gen + other
-  def +(o: PhaseBreakdown): PhaseBreakdown =
-    PhaseBreakdown(computeP + o.computeP, init + o.init, gen + o.gen, other + o.other)
 }
-
-object PhaseBreakdown { val zero: PhaseBreakdown = PhaseBreakdown(0, 0, 0, 0) }
 
 /** Result of running a set of walkers on one simulated worker. */
 final case class EngineResult(

@@ -192,9 +192,7 @@ private[core] class SdgEngine(
       case S_ALIAS_PICK =>
         val t = s.base + s.x
         sim.read(g.addrAliasPair(t)); sim.compute(4)
-        val e =
-          if (s.y < tables.aliasProb(t) || tables.aliasSecond(t) < 0) tables.aliasFirst(t)
-          else tables.aliasSecond(t)
+        val e = if (s.y < tables.aliasProb(t) || tables.aliasSecond(t) < 0) t else tables.aliasSecond(t)
         finishStep(s, e)
 
       case S_ITS_TOTAL =>
@@ -296,13 +294,13 @@ private[core] class SdgEngine(
         openGen()
         startSearch(s, total)
       case SamplingMethod.ALIAS =>
-        val (h, first, second) = StaticTables.buildAlias(java.util.Arrays.copyOf(s.buf, s.d), sum, sim)
+        val (h, second) = StaticTables.buildAlias(java.util.Arrays.copyOf(s.buf, s.d), sum, sim)
         tInit += sim.cycles - i0
         openGen()
         s.x = w.rng.nextInt(s.d); sim.compute(8)
         s.y = w.rng.nextDouble(); sim.compute(8)
         sim.read(gatherAddr(s.gatherId, s.x)); sim.compute(4)
-        choose(s, s.base + (if (s.y < h(s.x) || second(s.x) < 0) first(s.x) else second(s.x)))
+        choose(s, s.base + (if (s.y < h(s.x) || second(s.x) < 0) s.x else second(s.x)))
       case SamplingMethod.REJ =>
         s.mx = initMaxLocal(s.d, s.buf)
         tInit += sim.cycles - i0

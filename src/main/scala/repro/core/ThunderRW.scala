@@ -95,7 +95,6 @@ object ThunderRW {
           sampling: SamplingMethod.Value, kind: EngineKind.Value,
           nQueries: Int, sources: Array[Int], threads: Int = 10,
           cfg: MemConfig = MemConfig(), taskRing: Int = 64,
-          hint: PrefetchHint.Value = PrefetchHint.T0,
           overhead: Overhead = Overhead(), seed: Long = 2021L,
           keepWalks: Boolean = true): RunSummary = {
     require(threads >= 1, s"threads must be at least 1, got $threads")
@@ -109,7 +108,7 @@ object ThunderRW {
 
     // Build one engine here, as every worker will: its constructor and
     // MemSim's reject bad settings on the driver, not inside a task.
-    new SdgEngine(g, app, sampling, tables, new MemSim(cfg), kind, taskRing, hint, overhead)
+    new SdgEngine(g, app, sampling, tables, new MemSim(cfg), kind, taskRing, PrefetchHint.T0, overhead)
 
     val sc = spark.sparkContext
     val bg = graphBroadcast(sc, g)
@@ -123,12 +122,11 @@ object ThunderRW {
       (lo, java.util.Arrays.copyOfRange(sources, lo, hi))
     }
     val tasks = math.min(threads, sc.defaultParallelism)
-    val task = new WorkerBlocksTask(bg, bt, app, sampling, kind, cfg, taskRing, hint, overhead,
-      seed, keepWalks)
+    val task = new WorkerBlocksTask(bg, bt, app, sampling, kind, cfg, taskRing, overhead, seed, keepWalks)
     val results =
       try sc.runJob(sc.parallelize(blocks, tasks), task).flatten
       finally if (bt != null) bt.destroy()
-    val parts = blocks.filter(_._2.nonEmpty).zip(results).map { case ((lo, src), res) =>
+    val parts = blocks.filter(_._2.nonEmpty).zip(results).map { case ((lo, _), res) =>
       val walks = ArraySeq.tabulate(res.walks.length) { i =>
         WalkRow(lo + i, ArraySeq.unsafeWrapArray(res.walks(i)))
       }
@@ -178,15 +176,14 @@ object ThunderRW {
 private[core] final class WorkerBlocksTask(
     graph: Broadcast[CSRGraph], tables: Broadcast[StaticTables],
     app: RandomWalkApp, sampling: SamplingMethod.Value, kind: EngineKind.Value,
-    cfg: MemConfig, taskRing: Int, hint: PrefetchHint.Value, overhead: Overhead,
-    seed: Long, keepWalks: Boolean,
+    cfg: MemConfig, taskRing: Int, overhead: Overhead, seed: Long, keepWalks: Boolean,
 ) extends ((TaskContext, Iterator[(Int, Array[Int])]) => Array[EngineResult]) with Serializable {
 
   def apply(ctx: TaskContext, blocks: Iterator[(Int, Array[Int])]): Array[EngineResult] =
     blocks.filter(_._2.nonEmpty).map { case (lo, src) =>
       val walkers = Array.tabulate(src.length)(i => new Walker(lo + i, src(i), seed))
       val res = ThunderRW.runLocal(graph.value, app, sampling, kind,
-        if (tables == null) null else tables.value, walkers, cfg, taskRing, hint, overhead)
+        if (tables == null) null else tables.value, walkers, cfg, taskRing, overhead = overhead)
       if (keepWalks) res else res.copy(walks = Array.empty[Array[Int]])
     }.toArray
 }

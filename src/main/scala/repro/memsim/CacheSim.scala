@@ -109,10 +109,4 @@ final class CacheSim(val capacityBytes: Int, val ways: Int, val lineBytes: Int =
     val i = find(ln)
     if (i >= 0) touch(i) else insert(ln)
   }
-
-  def reset(): Unit = {
-    java.util.Arrays.fill(tags, -1L)
-    java.util.Arrays.fill(lru, 0L)
-    stamp = 0L; hits = 0L; misses = 0L
-  }
 }

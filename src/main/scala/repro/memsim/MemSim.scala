@@ -54,10 +54,16 @@ object PrefetchHint extends Enumeration {
   * exploits.
   *
   * Every access probes L1 → L2 → L3 once (`locate`) and fills the missing
-  * levels from the recorded ways, so no set is scanned twice.
+  * levels from the recorded ways, so no set is scanned twice. The four
+  * demand kinds share one path (`demand`) and differ only in what a miss
+  * stalls; every fetched line, demand or prefetch, is counted and filled
+  * by `fetch`.
   */
 final class MemSim(val cfg: MemConfig = MemConfig()) {
   require(cfg.mshrs >= 1, s"mshrs ${cfg.mshrs} must be at least 1")
+  // A miss's latency names the level that served it (see `demand`).
+  require(0 < cfg.latL2 && cfg.latL2 < cfg.latL3 && cfg.latL3 < cfg.latDram,
+    s"latencies must rise from L2 to DRAM: latL2 ${cfg.latL2}, latL3 ${cfg.latL3}, latDram ${cfg.latDram}")
   val l1 = new CacheSim(cfg.l1Bytes, cfg.l1Ways, cfg.lineBytes)
   val l2 = new CacheSim(cfg.l2Bytes, cfg.l2Ways, cfg.lineBytes)
   val l3 = new CacheSim(cfg.l3Bytes, cfg.l3Ways, cfg.lineBytes)
@@ -151,13 +157,40 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     if (w2 >= 0) l2.touch(w2) else l2.insert(ln)
   }
 
+  /** Bring `ln` in from the level `locate(ln)` found, which serves it in
+    * `lat` cycles: count the line if it comes from DRAM, then fill L3 and
+    * L2 unless `outer` is false (an NTA prefetch bypasses them).
+    */
+  private def fetch(ln: Long, lat: Int, outer: Boolean = true): Unit = {
+    if (lat == cfg.latDram) dramLines += 1
+    if (outer) fillOuter(ln)
+  }
+
+  /** The demand path of every access kind: retire its instruction, probe
+    * once and count the L1 access. Returns 0 on an L1 hit; on a miss,
+    * fetches the line and returns the latency of the level that served it,
+    * so each caller only applies its own stall rule. A `prefetched` line
+    * evicted from L1 before its use is refetched and put back first, so
+    * its use counts as an L1 hit.
+    */
+  private def demand(ln: Long, prefetched: Boolean = false): Int = {
+    compute(1)
+    val lat = locate(ln)
+    if (w1 >= 0) { l1.accessAt(w1, ln); return 0 }
+    fetch(ln, lat)
+    l1.accessAt(if (prefetched) l1.insert(ln) else -1, ln)
+    lat
+  }
+
+  @inline private def stall(c: Double): Unit = { memStallCycles += c; cycles += c }
+
   /** Issue a software prefetch (1 instruction, non-blocking). */
   def prefetch(addr: Long, hint: PrefetchHint.Value = PrefetchHint.T0): Unit = {
     compute(1)
     val ln = addr >> lineShift
     val lat = locate(ln)
     if (w1 >= 0) return // already resident, nothing to do
-    if (lat == cfg.latDram) dramLines += 1
+    fetch(ln, lat, outer = hint != PrefetchHint.NTA)
     purgeInflight()
     var start = cycles
     val n = tail - head
@@ -176,7 +209,6 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
       case PrefetchHint.NTA => 0
     }
     prefetchReady.put(ln, ready, extra)
-    if (hint != PrefetchHint.NTA) fillOuter(ln)
     l1.insert(ln)
   }
 
@@ -184,34 +216,25 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     * residual latency of an earlier prefetch of the same line.
     */
   def read(addr: Long): Unit = {
-    compute(1)
     val ln = addr >> lineShift
     val p = prefetchReady.find(ln)
-    val lat = locate(ln)
-    if (p >= 0) {
-      var stall = math.max(0.0, prefetchReady.ready(p) - cycles) + prefetchReady.extra(p)
-      prefetchReady.removeAt(p)
-      dbgResidualStall += stall
-      // A prefetched line evicted from L1 before use (ring too large for
-      // the L1 working set, §5.4) pays the refetch from wherever it
-      // still lives — the mechanism that bounds the optimal ring size.
-      if (w1 < 0) {
-        if (lat == cfg.latDram) dramLines += 1
-        stall += lat
-        dbgEvictStall += lat
-        dbgEvictRefetch += 1
-        fillOuter(ln)
-        w1 = l1.insert(ln)
-      }
-      if (stall > 0) { memStallCycles += stall; cycles += stall }
-      l1.accessAt(w1, ln)
-    } else if (!l1.accessAt(w1, ln)) {
-      if (lat == cfg.latDram) dramLines += 1
-      fillOuter(ln)
-      memStallCycles += lat
-      cycles += lat
-      dbgDemandStall += lat
+    val lat = demand(ln, prefetched = p >= 0)
+    if (p < 0) {
+      if (lat > 0) { stall(lat); dbgDemandStall += lat }
+      return
     }
+    var s = math.max(0.0, prefetchReady.ready(p) - cycles) + prefetchReady.extra(p)
+    prefetchReady.removeAt(p)
+    dbgResidualStall += s
+    // A prefetched line evicted from L1 before use (ring too large for
+    // the L1 working set, §5.4) pays the refetch from wherever it
+    // still lives — the mechanism that bounds the optimal ring size.
+    if (lat > 0) {
+      s += lat
+      dbgEvictStall += lat
+      dbgEvictRefetch += 1
+    }
+    if (s > 0) stall(s)
   }
 
   /** Independent read inside a tight loop with no inter-iteration
@@ -221,66 +244,30 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     * enjoy and random walks lack (§3).
     */
   def readOverlapped(addr: Long, mlp: Int = 6): Unit = {
-    compute(1)
-    val ln = addr >> lineShift
-    val lat = locate(ln)
-    if (!l1.accessAt(w1, ln)) {
-      if (lat == cfg.latDram) dramLines += 1
-      fillOuter(ln)
-      val c = lat.toDouble / mlp
-      memStallCycles += c
-      cycles += c
-    }
+    val lat = demand(addr >> lineShift)
+    if (lat > 0) stall(lat.toDouble / mlp)
   }
 
   /** Sequential scan read: the hardware stride prefetcher hides most of the
     * DRAM latency; a missing line costs the amortised stream stall.
     */
   def streamRead(addr: Long): Unit = {
-    compute(1)
-    val ln = addr >> lineShift
-    val lat = locate(ln)
-    if (!l1.accessAt(w1, ln)) {
-      if (lat == cfg.latDram) {
-        dramLines += 1
-        memStallCycles += cfg.streamStall
-        cycles += cfg.streamStall
-      } else if (lat > 0) {
-        val c = math.min(lat, cfg.streamStall).toDouble
-        memStallCycles += c
-        cycles += c
-      }
-      fillOuter(ln)
-    }
+    val lat = demand(addr >> lineShift)
+    if (lat == cfg.latDram) stall(cfg.streamStall)
+    else if (lat > 0) stall(math.min(lat, cfg.streamStall).toDouble)
   }
 
   /** Sequential write (e.g. appending to the walk output buffer): stores
     * retire through the store buffer and almost never stall the pipeline;
     * charge the instruction and the DRAM traffic (write-allocate) only.
     */
-  def streamWrite(addr: Long): Unit = {
-    compute(1)
-    val ln = addr >> lineShift
-    val lat = locate(ln)
-    if (!l1.accessAt(w1, ln)) {
-      if (lat == cfg.latDram) dramLines += 1
-      fillOuter(ln)
-    }
-  }
+  def streamWrite(addr: Long): Unit = demand(addr >> lineShift)
 
   def seconds: Double = cycles / (cfg.freqGhz * 1e9)
 
   def snapshot(): SimStats = SimStats(
     cycles, instructions, computeCycles, memStallCycles, coreStallCycles,
     badSpecCycles, dramLines, cfg.pipelineWidth, cfg.freqGhz, cfg.lineBytes)
-
-  def reset(): Unit = {
-    l1.reset(); l2.reset(); l3.reset()
-    cycles = 0; instructions = 0; computeCycles = 0
-    memStallCycles = 0; coreStallCycles = 0; badSpecCycles = 0
-    dramLines = 0
-    prefetchReady.clear(); head = 0; tail = 0
-  }
 }
 
 /** Immutable counter snapshot; differences of snapshots give phase costs. */

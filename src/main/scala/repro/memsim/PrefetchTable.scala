@@ -6,7 +6,7 @@ package repro.memsim
   * nothing. Keys are cache-line numbers and must be non-negative.
   *
   * `put` overwrites a pending entry for the same line; entries that are
-  * never read stay until `clear`.
+  * never read stay for the life of the table.
   */
 private[memsim] final class PrefetchTable(initialCapacity: Int = 64) {
   import PrefetchTable.Empty
@@ -70,11 +70,6 @@ private[memsim] final class PrefetchTable(initialCapacity: Int = 64) {
     }
     keys(hole) = Empty
     count -= 1
-  }
-
-  def clear(): Unit = {
-    java.util.Arrays.fill(keys, Empty)
-    count = 0
   }
 
   private def grow(): Unit = {

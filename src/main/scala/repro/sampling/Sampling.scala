@@ -15,20 +15,20 @@ object WalkerType extends Enumeration {
 
 /** Per-vertex sampling tables built by the static-RW preprocessing pass
   * (Algorithm 3). Only the arrays needed by the chosen method are
-  * populated. Alias entries store the *global edge index*; conceptually
-  * the (H[i], A[i]) pair is one 16-byte struct occupying one cache line
-  * slot, which is how the Move stage machine charges it.
+  * populated. The alias table is the paper's (H, A) pair: slot e keeps
+  * edge e with probability `aliasProb(e)` and otherwise gives way to the
+  * *global edge index* `aliasSecond(e)` (-1 for a full bucket).
+  * Conceptually (H[e], A[e]) is one struct occupying one cache line slot,
+  * which is how the Move stage machine charges it.
   */
 final class StaticTables(
     val aliasProb: Array[Double],
-    val aliasFirst: Array[Int],
     val aliasSecond: Array[Int],
     val cdf: Array[Double],
     val rejMax: Array[Float],
 ) extends Serializable {
   def memoryBytes: Long =
-    8L * aliasProb.length + 4L * aliasFirst.length + 4L * aliasSecond.length +
-      8L * cdf.length + 4L * rejMax.length
+    8L * aliasProb.length + 4L * aliasSecond.length + 8L * cdf.length + 4L * rejMax.length
 }
 
 object StaticTables {
@@ -43,7 +43,6 @@ object StaticTables {
             sim: MemSim = null): StaticTables = {
     val m = g.numEdges
     var aliasP: Array[Double] = Array.emptyDoubleArray
-    var aliasA: Array[Int] = Array.emptyIntArray
     var aliasB: Array[Int] = Array.emptyIntArray
     var cdf: Array[Double] = Array.emptyDoubleArray
     var rejMax: Array[Float] = Array.emptyFloatArray
@@ -88,7 +87,6 @@ object StaticTables {
         }
       case SamplingMethod.ALIAS =>
         aliasP = new Array[Double](m)
-        aliasA = new Array[Int](m)
         aliasB = new Array[Int](m)
         var v = 0
         while (v < g.numVertices) {
@@ -102,11 +100,10 @@ object StaticTables {
               if (sim != null) { sim.streamRead(g.addrWeight(base + i)); sim.compute(2) }
               probs(i) = w(base + i); sum += probs(i); i += 1
             }
-            val (hp, hf, hs) = buildAlias(probs, sum, sim)
+            val (hp, hs) = buildAlias(probs, sum, sim)
             i = 0
             while (i < d) {
               aliasP(base + i) = hp(i)
-              aliasA(base + i) = base + hf(i)
               aliasB(base + i) = if (hs(i) < 0) -1 else base + hs(i)
               if (sim != null) sim.streamWrite(g.addrAliasPair(base + i))
               i += 1
@@ -115,19 +112,19 @@ object StaticTables {
           v += 1
         }
     }
-    new StaticTables(aliasP, aliasA, aliasB, cdf, rejMax)
+    new StaticTables(aliasP, aliasB, cdf, rejMax)
   }
 
   /** Walker's alias-table construction over local probabilities.
-    * Returns (H, first, second) with local indices; second = -1 for
-    * single-element buckets. Charged per edge: normalisation division
-    * (core stall) plus queue bookkeeping instructions.
+    * Returns (H, A) with local indices: bucket i keeps i with probability
+    * H(i), else yields A(i); A(i) = -1 for single-element buckets. Charged
+    * per edge: normalisation division (core stall) plus queue bookkeeping
+    * instructions.
     */
   def buildAlias(probs: Array[Double], sum: Double,
-                 sim: MemSim = null): (Array[Double], Array[Int], Array[Int]) = {
+                 sim: MemSim = null): (Array[Double], Array[Int]) = {
     val d = probs.length
     val h = new Array[Double](d)
-    val first = new Array[Int](d)
     val second = Array.fill(d)(-1)
     val scaled = new Array[Double](d)
     var i = 0
@@ -136,35 +133,35 @@ object StaticTables {
       scaled(i) = probs(i) * d / sum
       i += 1
     }
-    val small = new java.util.ArrayDeque[Integer]()
-    val large = new java.util.ArrayDeque[Integer]()
+    // FIFO queues of bucket indices. Every index enters `small` at most
+    // once, and `large` at most once plus once per pairing (at most d).
+    val small = new Array[Int](d)
+    val large = new Array[Int](2 * d)
+    var sHead = 0; var sTail = 0; var lHead = 0; var lTail = 0
     i = 0
     while (i < d) {
-      if (scaled(i) < 1.0) small.add(i) else large.add(i)
+      if (scaled(i) < 1.0) { small(sTail) = i; sTail += 1 } else { large(lTail) = i; lTail += 1 }
       if (sim != null) sim.compute(3)
       i += 1
     }
-    while (!small.isEmpty && !large.isEmpty) {
-      val s = small.poll().intValue()
-      val l = large.poll().intValue()
+    while (sHead < sTail && lHead < lTail) {
+      val s = small(sHead); sHead += 1
+      val l = large(lHead); lHead += 1
       h(s) = scaled(s)
-      first(s) = s
       second(s) = l
       scaled(l) = scaled(l) - (1.0 - scaled(s))
-      if (scaled(l) < 1.0) small.add(l) else large.add(l)
+      if (scaled(l) < 1.0) { small(sTail) = l; sTail += 1 } else { large(lTail) = l; lTail += 1 }
       if (sim != null) sim.compute(8)
     }
-    while (!large.isEmpty) {
-      val l = large.poll().intValue()
-      h(l) = 1.0; first(l) = l
+    while (lHead < lTail) {
+      h(large(lHead)) = 1.0; lHead += 1
       if (sim != null) sim.compute(3)
     }
-    while (!small.isEmpty) {
-      val s = small.poll().intValue()
-      h(s) = 1.0; first(s) = s
+    while (sHead < sTail) {
+      h(small(sHead)) = 1.0; sHead += 1
       if (sim != null) sim.compute(3)
     }
-    (h, first, second)
+    (h, second)
   }
 
   /** Pure generation-phase reference implementations used by the
@@ -184,11 +181,10 @@ object StaticTables {
       lo
     }
 
-    def alias(h: Array[Double], first: Array[Int], second: Array[Int],
-              rng: java.util.SplittableRandom): Int = {
+    def alias(h: Array[Double], second: Array[Int], rng: java.util.SplittableRandom): Int = {
       val x = rng.nextInt(h.length)
       val y = rng.nextDouble()
-      if (y < h(x) || second(x) < 0) first(x) else second(x)
+      if (y < h(x) || second(x) < 0) x else second(x)
     }
 
     def rej(probs: Array[Double], pStar: Double, rng: java.util.SplittableRandom): Int = {

@@ -83,8 +83,6 @@ class AppsSpec extends SparkSpec with GraphFixtures {
     val ws = runApp(app, SamplingMethod.ALIAS, n, Array.fill(n)(v0)) // dynamic ALIAS = exact
     // pool second-step transitions by (prev=v0, cur) pairs with enough samples
     val grouped = ws.filter(_.length >= 2).groupBy(_.path(1))
-    val sim = new MemSim(cfg)
-    val ctx = new SimCtx(sim, g)
     grouped.filter(_._2.size >= 2000).foreach { case (cur, walkers) =>
       val base = g.edgeBegin(cur)
       val d = g.degree(cur)

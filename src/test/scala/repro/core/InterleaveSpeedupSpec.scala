@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.{GraphFixtures, SparkSpec}
-import repro.exp.Experiments
 import repro.memsim.MemConfig
 import repro.sampling.SamplingMethod
 

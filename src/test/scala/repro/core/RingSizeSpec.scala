@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{GraphFixtures, SparkSpec}
-import repro.memsim.{MemConfig, MemSim}
+import repro.memsim.MemConfig
 import repro.sampling.SamplingMethod
 
 /** Ring-size behaviour (§5.4 / Figure 10's shape): speedup rises with k,

@@ -46,14 +46,6 @@ class CacheSimSpec extends AnyFunSuite {
     assert(c.misses == 0)
   }
 
-  test("reset clears tags and counters") {
-    val c = new CacheSim(1024, 4)
-    c.access(0L); c.access(0L)
-    c.reset()
-    assert(c.hits == 0 && c.misses == 0)
-    assert(!c.access(0L))
-  }
-
   test("rejects capacity not divisible by line*ways") {
     intercept[IllegalArgumentException](new CacheSim(1000, 4))
   }

@@ -143,8 +143,27 @@ class MemSimSpec extends AnyFunSuite {
     assert(t.find(ks(0)) == -1)
     assert(t.find(ks(1)) == last && t.ready(t.find(ks(1))) == 1.0)
     assert(t.find(ks(2)) == 0 && t.extra(t.find(ks(2))) == 2)
-    t.clear()
-    assert(t.size == 0 && ks.forall(t.find(_) == -1))
+  }
+
+  test("readOverlapped, streamWrite and an L2-served streamRead apply their own stall rules") {
+    val m = fresh()
+    m.readOverlapped(0L, mlp = 4)
+    assert(m.memStallCycles == m.cfg.latDram / 4.0 && m.dramLines == 1)
+    val w = fresh()
+    w.streamWrite(0L)
+    assert(w.memStallCycles == 0 && w.dramLines == 1 && w.instructions == 1)
+    val s = fresh()
+    s.read(0L)
+    evictLine0FromL1(s)
+    val (stall, lines) = (s.memStallCycles, s.dramLines)
+    s.streamRead(0L)
+    assert(s.memStallCycles - stall == math.min(s.cfg.latL2, s.cfg.streamStall))
+    assert(s.dramLines == lines)
+  }
+
+  test("rejects latencies that do not rise from L2 to DRAM") {
+    val e = intercept[IllegalArgumentException](new MemSim(MemConfig(latL3 = 200)))
+    assert(e.getMessage.contains("latencies must rise from L2 to DRAM"))
   }
 
   test("streamRead charges the amortised stream stall, not full DRAM latency") {
@@ -232,15 +251,6 @@ class MemSimSpec extends AnyFunSuite {
     val before = m.dramLines
     m.read(0L)
     assert(m.dramLines == before)
-  }
-
-  test("reset restores a pristine simulator") {
-    val m = fresh()
-    m.read(0L); m.compute(10); m.prefetch(64L)
-    m.reset()
-    assert(m.cycles == 0 && m.instructions == 0 && m.dramLines == 0)
-    m.read(0L)
-    assert(m.memStallCycles == m.cfg.latDram)
   }
 
   test("seconds derives from cycles and frequency") {

@@ -74,8 +74,8 @@ class SamplersSpec extends AnyFunSuite {
   for ((name, probs) <- testDists)
     test(s"ALIAS matches distribution $name") {
       val sum = probs.sum
-      val (h, f, s) = StaticTables.buildAlias(probs, sum)
-      checkDistribution(probs, rng => StaticTables.Ref.alias(h, f, s, rng))
+      val (h, s) = StaticTables.buildAlias(probs, sum)
+      checkDistribution(probs, rng => StaticTables.Ref.alias(h, s, rng))
     }
 
   test("alias construction conserves probability mass exactly (50 random cases)") {
@@ -84,12 +84,12 @@ class SamplersSpec extends AnyFunSuite {
       val d = 1 + rnd.nextInt(40)
       val probs = Array.fill(d)(0.01 + rnd.nextDouble() * 10.0)
       val sum = probs.sum
-      val (h, f, s) = StaticTables.buildAlias(probs, sum)
+      val (h, s) = StaticTables.buildAlias(probs, sum)
       // reconstruct per-element mass from the buckets
       val mass = new Array[Double](d)
       var i = 0
       while (i < d) {
-        mass(f(i)) += h(i)
+        mass(i) += h(i)
         if (s(i) >= 0) mass(s(i)) += 1.0 - h(i)
         i += 1
       }
@@ -107,7 +107,7 @@ class SamplersSpec extends AnyFunSuite {
     (1 to 30).foreach { _ =>
       val d = 1 + rnd.nextInt(25)
       val ws = Array.fill(d)(rnd.nextDouble() * 5.0 + 1e-6)
-      val (h, _, _) = StaticTables.buildAlias(ws, ws.sum)
+      val (h, _) = StaticTables.buildAlias(ws, ws.sum)
       assert(h.forall(p => p >= -1e-9 && p <= 1.0 + 1e-9))
     }
   }
