@@ -67,6 +67,10 @@ object ThunderRW {
   def makeWalkers(ids: Seq[Int], sources: Array[Int], seed: Long): Array[Walker] =
     ids.map(i => new Walker(i, sources(i), seed)).toArray
 
+  /** Rejects a start vertex outside `[0, V)` before it reaches the engine. */
+  private def requireSource(g: CSRGraph, id: Int, v: Int): Unit =
+    require(v >= 0 && v < g.numVertices, s"query $id starts at vertex $v, outside [0, ${g.numVertices})")
+
   /** Run a batch of walkers on one simulated worker (no Spark) — the unit
     * the Spark driver distributes, also used directly by unit tests.
     */
@@ -74,8 +78,10 @@ object ThunderRW {
                kind: EngineKind.Value, tables: StaticTables, walkers: Array[Walker],
                cfg: MemConfig = MemConfig(), taskRing: Int = 64,
                hint: PrefetchHint.Value = PrefetchHint.T0,
-               overhead: Overhead = Overhead()): EngineResult =
+               overhead: Overhead = Overhead()): EngineResult = {
+    walkers.foreach(w => requireSource(g, w.id, w.cur))
     new SdgEngine(g, app, sampling, tables, new MemSim(cfg), kind, taskRing, hint, overhead).run(walkers)
+  }
 
   /** Distributed run: `nQueries` walkers, `sources(i)` the start vertex of
     * walker i, split over `threads` simulated workers. Worker t runs ids
@@ -100,6 +106,7 @@ object ThunderRW {
     require(threads >= 1, s"threads must be at least 1, got $threads")
     require(nQueries >= 0, s"nQueries must be non-negative, got $nQueries")
     require(sources.length >= nQueries, "need a source per query")
+    (0 until nQueries).foreach(q => requireSource(g, q, sources(q)))
 
     val (tables, preprocCycles) = preprocess(g, app, sampling, cfg)
     // Preprocessing is embarrassingly parallel over vertices; the paper's

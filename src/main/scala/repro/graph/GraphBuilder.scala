@@ -1,16 +1,18 @@
 package repro.graph
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
 
 /** Assembles a [[CSRGraph]] from a Spark edge DataFrame.
   *
-  * The input must have columns (src INT, dst INT, weight FLOAT, label INT);
-  * its rows are collected to the driver and counting-sorted there. With
-  * `undirect = true` each pair is stored in both directions (the paper
-  * represents undirected graphs this way). Neighbor lists are sorted by
-  * destination, ties in input order, so Node2Vec's `IsNeighbor` binary
-  * search works.
+  * The input must have columns (src INT, dst INT, weight FLOAT, label INT).
+  * Each partition packs its rows into four primitive arrays; the driver
+  * collects them in partition order (the order `collect()` would give) and
+  * counting-sorts the edges there. With `undirect = true` each pair is
+  * stored in both directions (the paper represents undirected graphs this
+  * way). Neighbor lists are sorted by destination, ties in input order, so
+  * Node2Vec's `IsNeighbor` binary search works.
   */
 object GraphBuilder {
 
@@ -21,22 +23,28 @@ object GraphBuilder {
     require(missing.isEmpty, s"edge DataFrame needs columns ${required.mkString("(", ", ", ")")}; " +
       s"missing ${missing.mkString(", ")}")
     val rows = df.select(col("src").cast("int"), col("dst").cast("int"),
-      col("weight").cast("float"), col("label").cast("int")).collect()
+      col("weight").cast("float"), col("label").cast("int")).queryExecution.toRdd
+    val parts = rows.sparkContext.runJob(rows, EdgeColumns.pack _)
+    val nulls = parts.map(_.nulls).sum
+    require(nulls == 0, s"edge DataFrame has $nulls rows with a null src, dst, weight or label")
 
     // Input edge i runs srcs(i) -> dsts(i); an undirected pair's reverse follows it.
-    val m = rows.length * (if (undirect) 2 else 1)
+    val m = parts.map(_.src.length).sum * (if (undirect) 2 else 1)
     val srcs = new Array[Int](m)
     val dsts = new Array[Int](m)
     val ws = new Array[Float](m)
     val ls = new Array[Int](m)
     var i = 0
-    rows.foreach { r =>
-      val s = r.getInt(0); val d = r.getInt(1)
-      require(s >= 0 && s < numVertices && d >= 0 && d < numVertices,
-        s"edge ($s,$d) outside [0,$numVertices)")
-      srcs(i) = s; dsts(i) = d; ws(i) = r.getFloat(2); ls(i) = r.getInt(3)
-      if (undirect) { i += 1; srcs(i) = d; dsts(i) = s; ws(i) = ws(i - 1); ls(i) = ls(i - 1) }
-      i += 1
+    parts.foreach { p =>
+      var j = 0
+      while (j < p.src.length) {
+        val s = p.src(j); val d = p.dst(j)
+        require(s >= 0 && s < numVertices && d >= 0 && d < numVertices,
+          s"edge ($s,$d) outside [0,$numVertices)")
+        srcs(i) = s; dsts(i) = d; ws(i) = p.weight(j); ls(i) = p.label(j)
+        if (undirect) { i += 1; srcs(i) = d; dsts(i) = s; ws(i) = ws(i - 1); ls(i) = ls(i - 1) }
+        i += 1; j += 1
+      }
     }
 
     // Counting sort by src places the key (dst << 32 | i) in src's slice;
@@ -66,5 +74,38 @@ object GraphBuilder {
       i += 1
     }
     new CSRGraph(name, numVertices, offsets, nbrs, weights, labels)
+  }
+}
+
+/** One partition's edges as primitive columns, in row order, and the
+  * number of its rows with a null field (whose slots hold 0).
+  */
+private[graph] final class EdgeColumns(val src: Array[Int], val dst: Array[Int],
+    val weight: Array[Float], val label: Array[Int], val nulls: Int) extends Serializable
+
+private[graph] object EdgeColumns {
+
+  /** Packs a partition of (src, dst, weight, label) rows, reading each row
+    * as it arrives: the iterator reuses the row object.
+    */
+  def pack(rows: Iterator[InternalRow]): EdgeColumns = {
+    var src = new Array[Int](1024)
+    var dst = new Array[Int](1024)
+    var weight = new Array[Float](1024)
+    var label = new Array[Int](1024)
+    var n = 0
+    var nulls = 0
+    while (rows.hasNext) {
+      val r = rows.next()
+      if (n == src.length) {
+        src = java.util.Arrays.copyOf(src, 2 * n); dst = java.util.Arrays.copyOf(dst, 2 * n)
+        weight = java.util.Arrays.copyOf(weight, 2 * n); label = java.util.Arrays.copyOf(label, 2 * n)
+      }
+      if (r.anyNull) nulls += 1
+      src(n) = r.getInt(0); dst(n) = r.getInt(1); weight(n) = r.getFloat(2); label(n) = r.getInt(3)
+      n += 1
+    }
+    new EdgeColumns(java.util.Arrays.copyOf(src, n), java.util.Arrays.copyOf(dst, n),
+      java.util.Arrays.copyOf(weight, n), java.util.Arrays.copyOf(label, n), nulls)
   }
 }

@@ -11,8 +11,7 @@ package repro.memsim
   * line and set of an address are a shift and a mask.
   *
   * The line-level primitives (`find`, `touch`, `insert`, `accessAt`) let
-  * [[MemSim]] probe a level once and act on the result; `access`,
-  * `contains` and `fill` are built from them.
+  * [[MemSim]] probe a level once and act on the result.
   *
   * @param capacityBytes total capacity; must be a multiple of lineBytes*ways
   * @param ways          associativity
@@ -31,7 +30,8 @@ final class CacheSim(val capacityBytes: Int, val ways: Int, val lineBytes: Int =
   private val setMask: Long = numSets - 1L
 
   // tags(set * ways + way): line address (addr >> lineShift), -1 = invalid.
-  private val tags = Array.fill[Long](numSets * ways)(-1L)
+  private val tags = new Array[Long](numSets * ways)
+  java.util.Arrays.fill(tags, -1L)
   // lru(set * ways + way): monotonically increasing access stamp.
   private val lru = new Array[Long](numSets * ways)
   private var stamp = 0L
@@ -39,7 +39,6 @@ final class CacheSim(val capacityBytes: Int, val ways: Int, val lineBytes: Int =
   var hits: Long = 0L
   var misses: Long = 0L
 
-  @inline private def lineOf(addr: Long): Long = addr >> lineShift
   @inline private def setBase(line: Long): Int = (line & setMask).toInt * ways
 
   /** Way slot holding `line` (an index into the tag array), or -1. */
@@ -93,20 +92,5 @@ final class CacheSim(val capacityBytes: Int, val ways: Int, val lineBytes: Int =
       i += 1
     }
     v
-  }
-
-  /** Probe and update LRU. Returns true on hit; on miss the line is filled
-    * (evicting the LRU way). The caller decides what a miss costs.
-    */
-  def access(addr: Long): Boolean = { val ln = lineOf(addr); accessAt(find(ln), ln) }
-
-  /** Probe without filling — used to decide which level serves a demand miss. */
-  def contains(addr: Long): Boolean = find(lineOf(addr)) >= 0
-
-  /** Fill the line without counting a demand hit/miss (prefetch fill path). */
-  def fill(addr: Long): Unit = {
-    val ln = lineOf(addr)
-    val i = find(ln)
-    if (i >= 0) touch(i) else insert(ln)
   }
 }

@@ -81,6 +81,21 @@ class ThunderRWSparkSpec extends SparkSpec with GraphFixtures {
     val e4 = intercept[IllegalArgumentException](ThunderRW.run(spark, g, new Apps.DeepWalk(5),
       SamplingMethod.OREJ, EngineKind.Sequential, 10, src, threads = 2, cfg = cfg.copy(mshrs = 0)))
     assert(e4.getMessage.contains("mshrs 0 must be at least 1"))
+    // A source outside [0, V) fails on the driver, not as a task failure.
+    val V = g.numVertices
+    for (bad <- Seq(V, -1)) {
+      val s = src.clone(); s(7) = bad
+      val e = intercept[IllegalArgumentException](ThunderRW.run(spark, g, new Apps.DeepWalk(5),
+        SamplingMethod.OREJ, EngineKind.Sequential, 10, s, threads = 2, cfg = cfg))
+      assert(e.getMessage.contains(s"query 7 starts at vertex $bad, outside [0, $V)"), e.getMessage)
+      val walkers = ThunderRW.makeWalkers(0 until 10, s, seed = 2021L)
+      val l = intercept[IllegalArgumentException](ThunderRW.runLocal(g, new Apps.DeepWalk(5),
+        SamplingMethod.OREJ, EngineKind.Interleaved, null, walkers, cfg))
+      assert(l.getMessage.contains(s"query 7 starts at vertex $bad, outside [0, $V)"), l.getMessage)
+    }
+    // Sources past nQueries are not read.
+    ThunderRW.run(spark, g, new Apps.DeepWalk(5), SamplingMethod.OREJ, EngineKind.Sequential,
+      9, src.updated(9, -1), threads = 2, cfg = cfg)
   }
 
   test("ten simulated workers run in one job of min(10, defaultParallelism) tasks") {

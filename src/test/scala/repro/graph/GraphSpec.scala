@@ -143,6 +143,42 @@ class GraphSpec extends SparkSpec with GraphFixtures {
     assert(badL.getMessage.contains("labels (2)"), badL.getMessage)
     assert(csr(1, 1).numEdges == 1)
   }
+
+  test("the edge list's partitioning does not change the graph") {
+    val all = tinyEdges(n = 90, e = 500, seed = 9L).collect().toSeq
+    def build(rows: Seq[org.apache.spark.sql.Row], k: Int, undirect: Boolean) = GraphBuilder.fromEdges(
+      spark.createDataFrame(spark.sparkContext.parallelize(rows, k), tinyEdges().schema),
+      90, s"parts-$k", undirect)
+    // Five rows in 8 slices leave some partitions empty.
+    for (rows <- Seq(all, all.take(5)); undirect <- Seq(false, true)) {
+      val Seq(g1, g3, g8) = Seq(1, 3, 8).map(build(rows, _, undirect))
+      assert(g1.numEdges == rows.size * (if (undirect) 2 else 1))
+      for (g <- Seq(g3, g8)) {
+        val what = s"${rows.size} rows, ${g.name}, undirect=$undirect"
+        assert(g.offsets.sameElements(g1.offsets), s"offsets differ: $what")
+        assert(g.neighbors.sameElements(g1.neighbors), s"neighbors differ: $what")
+        assert(g.weights.sameElements(g1.weights), s"weights differ: $what")
+        assert(g.labels.sameElements(g1.labels), s"labels differ: $what")
+      }
+    }
+  }
+
+  test("an edge DataFrame with no rows builds a graph with no edges") {
+    val g = GraphBuilder.fromEdges(tinyEdges(n = 30).limit(0), 30, "empty", undirect = true)
+    assert(g.numVertices == 30 && g.numEdges == 0)
+    assert(g.offsets.length == 31 && g.offsets.forall(_ == 0))
+  }
+
+  test("builder rejects edges with a null field") {
+    import spark.implicits._
+    val df = Seq((0, Some(1), 1f, 0), (1, None, 1f, 0)).toDF("src", "dst", "weight", "label")
+    val e = intercept[IllegalArgumentException](GraphBuilder.fromEdges(df, 2, "nulls"))
+    assert(e.getMessage.contains("1 rows with a null src, dst, weight or label"), e.getMessage)
+  }
+
+  test("the GoldenStatsSpec fixture graph keeps its content hash") {
+    assert(GraphHash.of(tinyGraph(n = 2000, e = 12000, seed = 5L)) == "5f389c70547bf066")
+  }
 }
 
 class GraphGenSpec extends SparkSpec {

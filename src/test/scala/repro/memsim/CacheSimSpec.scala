@@ -2,48 +2,56 @@ package repro.memsim
 
 import org.scalatest.funsuite.AnyFunSuite
 
+/** Line-level tests: `ln` arguments are line addresses (byte address >> 6),
+  * driven the way [[MemSim]] drives a level.
+  */
 class CacheSimSpec extends AnyFunSuite {
+
+  // A demand access, as MemSim's demand path makes it: probe, then accessAt.
+  private def access(c: CacheSim, ln: Long): Boolean = c.accessAt(c.find(ln), ln)
+  // A fill without a demand hit or miss, as MemSim's fill of L2/L3.
+  private def fill(c: CacheSim, ln: Long): Unit = { val i = c.find(ln); if (i >= 0) c.touch(i) else c.insert(ln) }
 
   test("cold access misses, repeat access hits") {
     val c = new CacheSim(1024, 4)
-    assert(!c.access(0L))
-    assert(c.access(0L))
-    assert(c.access(63L)) // same line
-    assert(!c.access(64L)) // next line
+    assert(c.lineShift == 6)
+    assert(!access(c, 0L >> c.lineShift))
+    assert(access(c, 0L >> c.lineShift))
+    assert(access(c, 63L >> c.lineShift)) // same line
+    assert(!access(c, 64L >> c.lineShift)) // next line
     assert(c.hits == 2 && c.misses == 2)
   }
 
   test("capacity eviction under LRU within a set") {
     // 1 KB, 4-way, 64 B lines -> 4 sets; lines mapping to set 0 are multiples of 4.
     val c = new CacheSim(1024, 4)
-    val set0 = (0 until 5).map(i => i * 4 * 64L) // 5 lines, one set, 4 ways
-    set0.foreach(a => assert(!c.access(a)))
+    val set0 = (0 until 5).map(i => i * 4L) // 5 lines, one set, 4 ways
+    set0.foreach(ln => assert(!access(c, ln)))
     // line 0 was LRU -> evicted
-    assert(!c.access(set0(0)))
-    // line 1 is still resident? it became LRU after the access of set0(0) evicted it...
-    // deterministic: after inserting 5 lines, lines 1..4 resident; re-access 0 evicts 1.
-    assert(!c.access(set0(1)))
+    assert(!access(c, set0(0)))
+    // After inserting 5 lines, lines 1..4 were resident; re-accessing 0 evicted 1.
+    assert(!access(c, set0(1)))
   }
 
   test("distinct sets do not interfere") {
     val c = new CacheSim(1024, 4)
-    (0 until 4).foreach(s => assert(!c.access(s * 64L)))
-    (0 until 4).foreach(s => assert(c.access(s * 64L)))
+    (0 until 4).foreach(s => assert(!access(c, s.toLong)))
+    (0 until 4).foreach(s => assert(access(c, s.toLong)))
   }
 
-  test("contains does not change state") {
+  test("find does not change state") {
     val c = new CacheSim(1024, 4)
-    assert(!c.contains(0L))
-    c.access(0L)
-    assert(c.contains(0L))
+    assert(c.find(0L) < 0)
+    access(c, 0L)
+    assert(c.find(0L) >= 0)
     assert(c.hits == 0 && c.misses == 1)
   }
 
   test("fill makes subsequent access a hit without counting a demand miss") {
     val c = new CacheSim(1024, 4)
-    c.fill(128L)
-    assert(c.access(128L))
-    assert(c.misses == 0)
+    fill(c, 128L >> c.lineShift)
+    assert(access(c, 128L >> c.lineShift))
+    assert(c.misses == 0 && c.hits == 1)
   }
 
   test("rejects capacity not divisible by line*ways") {
@@ -61,20 +69,26 @@ class CacheSimSpec extends AnyFunSuite {
   test("a fill hit keeps the stamp, so the next miss evicts the first oldest way") {
     // 4 sets; lines 0, 4, 8, 12, 16 all map to set 0.
     val c = new CacheSim(1024, 4)
-    val Seq(a, b, cc, d, e) = (0 until 5).map(i => i * 4 * 64L)
-    Seq(a, b, cc, d).foreach(c.fill) // stamps 1, 2, 3, 4 in ways 0..3
-    c.fill(a) // hit: way 0 takes stamp 4 without advancing it -> ties with d
-    c.access(b); c.access(cc) // stamps 5, 6
-    assert(!c.access(e))
+    val Seq(a, b, cc, d, e) = (0 until 5).map(i => i * 4L)
+    Seq(a, b, cc, d).foreach(fill(c, _)) // stamps 1, 2, 3, 4 in ways 0..3
+    fill(c, a) // hit: way 0 takes stamp 4 without advancing it -> ties with d
+    access(c, b); access(c, cc) // stamps 5, 6
+    assert(!access(c, e))
     // Ways 0 (a) and 3 (d) tie on the minimum; the first one is evicted.
-    assert(!c.contains(a))
-    assert(c.contains(d) && c.contains(b) && c.contains(cc) && c.contains(e))
+    assert(c.find(a) < 0)
+    assert(Seq(d, b, cc, e).forall(c.find(_) >= 0))
   }
 
   test("LRU is per-set: hot line survives heavy traffic in other sets") {
     val c = new CacheSim(1024, 4)
-    c.access(0L) // set 0
-    (1 to 100).foreach(i => c.access((4 * i + 1) * 64L)) // set 1 traffic
-    assert(c.access(0L))
+    access(c, 0L) // set 0
+    (1 to 100).foreach(i => access(c, 4L * i + 1)) // set 1 traffic
+    assert(access(c, 0L))
+  }
+
+  test("a fresh cache holds no line, line 0 included") {
+    val c = new CacheSim(1024, 4)
+    assert((0L until 64L).forall(c.find(_) < 0))
+    assert(!access(c, 0L) && c.misses == 1)
   }
 }
