@@ -53,14 +53,17 @@ object PrefetchHint extends Enumeration {
   * the residual latency — this is exactly the mechanism step interleaving
   * exploits.
   *
-  * Every access probes L1 → L2 → L3 once (`locate`) and fills the missing
-  * levels from the recorded ways, so no set is scanned twice. The four
-  * demand kinds share one path (`demand`) and differ only in what a miss
-  * stalls; every fetched line, demand or prefetch, is counted and filled
-  * by `fetch`.
+  * Every access probes L1 → L2 → L3 once (`locate`) and installs into the
+  * missing levels at the victims those probes chose, so no set is scanned
+  * twice. The four demand kinds share one path (`demand`) and differ only
+  * in what a miss stalls; every fetched line, demand or prefetch, is
+  * counted and filled by `fetch`.
   */
 final class MemSim(val cfg: MemConfig = MemConfig()) {
   require(cfg.mshrs >= 1, s"mshrs ${cfg.mshrs} must be at least 1")
+  require(cfg.ipc > 0, s"ipc ${cfg.ipc} must be positive")
+  require(cfg.freqGhz > 0, s"freqGhz ${cfg.freqGhz} must be positive")
+  require(cfg.pipelineWidth >= 1, s"pipelineWidth ${cfg.pipelineWidth} must be at least 1")
   // A miss's latency names the level that served it (see `demand`).
   require(0 < cfg.latL2 && cfg.latL2 < cfg.latL3 && cfg.latL3 < cfg.latDram,
     s"latencies must rise from L2 to DRAM: latL2 ${cfg.latL2}, latL3 ${cfg.latL3}, latDram ${cfg.latDram}")
@@ -93,12 +96,12 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
 
   private val lineShift = l1.lineShift
 
-  // Ways recorded by the last locate(): a slot index, -1 if the level
-  // misses, or NotProbed when an inner level hit first.
+  // CacheSim.find results of the last locate(): the hit slot, ~victim if
+  // the level misses, or NotProbed (never a ~slot) when an inner level hit.
   private var w1 = 0
   private var w2 = 0
   private var w3 = 0
-  private final val NotProbed = -2
+  private final val NotProbed = Int.MinValue
 
   /** Retire `n` instructions of straight-line computation. */
   @inline def compute(n: Int): Unit = {
@@ -153,8 +156,8 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
   /** Fill L3 and L2 with `ln` after `locate(ln)` missed L1. */
   private def fillOuter(ln: Long): Unit = {
     val i3 = if (w3 == NotProbed) l3.find(ln) else w3
-    if (i3 >= 0) l3.touch(i3) else l3.insert(ln)
-    if (w2 >= 0) l2.touch(w2) else l2.insert(ln)
+    if (i3 >= 0) l3.touch(i3) else l3.insertAt(i3, ln)
+    if (w2 >= 0) l2.touch(w2) else l2.insertAt(w2, ln)
   }
 
   /** Bring `ln` in from the level `locate(ln)` found, which serves it in
@@ -176,9 +179,8 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
   private def demand(ln: Long, prefetched: Boolean = false): Int = {
     compute(1)
     val lat = locate(ln)
-    if (w1 >= 0) { l1.accessAt(w1, ln); return 0 }
-    fetch(ln, lat)
-    l1.accessAt(if (prefetched) l1.insert(ln) else -1, ln)
+    if (w1 < 0) fetch(ln, lat) // fills L3 and L2 only: w1 still names L1's victim
+    l1.accessAt(if (prefetched && w1 < 0) l1.insertAt(w1, ln) else w1, ln)
     lat
   }
 
@@ -209,7 +211,7 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
       case PrefetchHint.NTA => 0
     }
     prefetchReady.put(ln, ready, extra)
-    l1.insert(ln)
+    l1.insertAt(w1, ln)
   }
 
   /** Dependent (pointer-chasing) read: pays full miss latency, or the

@@ -166,6 +166,21 @@ class MemSimSpec extends AnyFunSuite {
     assert(e.getMessage.contains("latencies must rise from L2 to DRAM"))
   }
 
+  test("rejects a degenerate ipc, frequency, pipeline width or associativity") {
+    for ((cfg, msg) <- Seq(
+        MemConfig(ipc = 0) -> "ipc 0.0 must be positive",
+        MemConfig(ipc = -1) -> "ipc -1.0 must be positive",
+        MemConfig(ipc = Double.NaN) -> "ipc NaN must be positive",
+        MemConfig(freqGhz = 0) -> "freqGhz 0.0 must be positive",
+        MemConfig(pipelineWidth = 0) -> "pipelineWidth 0 must be at least 1",
+        MemConfig(l1Ways = 0) -> "associativity 0 must be at least 1",
+        MemConfig(l2Ways = 0) -> "associativity 0 must be at least 1",
+        MemConfig(l3Ways = 0) -> "associativity 0 must be at least 1")) {
+      val e = intercept[IllegalArgumentException](new MemSim(cfg))
+      assert(e.getMessage.contains(msg))
+    }
+  }
+
   test("streamRead charges the amortised stream stall, not full DRAM latency") {
     val m = fresh()
     m.streamRead(0L)
