@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.graph.CSRGraph
+import repro.memsim.SimLayout
 import repro.sampling.WalkerType
 
 /** The four representative RW algorithms of §2.2, expressed as
@@ -8,18 +9,19 @@ import repro.sampling.WalkerType
   */
 object Apps {
 
+  final val PprCap = 10000 // longest PPR walk: a cap on pathological RNG streaks
+
   /** PPR: unbiased, terminates with probability `stopProb` per step
-    * (paper: 0.2 → expected length 5). A safety cap bounds pathological
-    * RNG streaks.
+    * (paper: 0.2 → expected length 5), or at [[PprCap]] steps.
     */
-  final class PPR(val stopProb: Double = 0.2, val cap: Int = 10000) extends RandomWalkApp {
+  final class PPR(val stopProb: Double = 0.2) extends RandomWalkApp {
     val name = "PPR"
     val walkerType = WalkerType.Unbiased
     def weight(ctx: SimCtx, g: CSRGraph, w: Walker, e: Int): Double = { ctx.compute(1); 1.0 }
     override def maxWeight(g: CSRGraph): Double = 1.0
     def update(ctx: SimCtx, g: CSRGraph, w: Walker, e: Int): Boolean = {
       ctx.compute(8) // draw + compare
-      w.rng.nextDouble() < stopProb || w.length >= cap
+      w.rng.nextDouble() < stopProb || w.length >= PprCap
     }
   }
 
@@ -28,7 +30,7 @@ object Apps {
     val name = "DeepWalk"
     val walkerType = WalkerType.Static
     def weight(ctx: SimCtx, g: CSRGraph, w: Walker, e: Int): Double = {
-      ctx.read(g.addrWeight(e)); g.weight(e).toDouble
+      ctx.read(SimLayout.weight(e)); g.weight(e).toDouble
     }
     override def maxWeight(g: CSRGraph): Double = 5.0 // weights drawn from [1, 5)
     def update(ctx: SimCtx, g: CSRGraph, w: Walker, e: Int): Boolean = {
@@ -84,7 +86,7 @@ object Apps {
     val name = "MetaPath"
     val walkerType = WalkerType.Dynamic
     def weight(ctx: SimCtx, g: CSRGraph, w: Walker, e: Int): Double = {
-      ctx.read(g.addrLabel(e))
+      ctx.read(SimLayout.label(e))
       ctx.compute(2)
       if (g.label(e) == schema(w.length % schema.length)) 1.0 else 0.0
     }
@@ -94,11 +96,10 @@ object Apps {
   }
 
   /** The paper's MetaPath setup: a schema of 5 labels chosen at random
-    * from the graph's label set (deterministic in `seed`).
+    * from the graph's label set (deterministic: the draw is seeded with 7).
     */
-  def metaPathFor(nLabels: Int, len: Int = 5, seed: Long = 7L,
-                  targetLength: Int = 80): MetaPath = {
-    val rng = new java.util.SplittableRandom(seed)
+  def metaPathFor(nLabels: Int, len: Int = 5, targetLength: Int = 80): MetaPath = {
+    val rng = new java.util.SplittableRandom(7L)
     new MetaPath(Array.fill(len)(rng.nextInt(nLabels)), targetLength)
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.CSRGraph
-import repro.memsim.{MemSim, PrefetchHint}
+import repro.memsim.{MemSim, PrefetchHint, SimLayout}
 import repro.sampling.{SamplingMethod, StaticTables, WalkerType}
 
 /** The Gather–Move–Update engine as one SDG stage machine (Table 4), run
@@ -38,7 +38,7 @@ private[core] class SdgEngine(
 ) {
   import SdgEngine._
 
-  private val ctx = new SimCtx(sim, g)
+  private val ctx = new SimCtx(sim)
   private val dynamic: Boolean = app.walkerType == WalkerType.Dynamic
   private val uniform: Boolean = app.walkerType == WalkerType.Unbiased
   // O-REJ never gathers; NAIVE is only legal for unbiased walks. A gathering
@@ -153,13 +153,13 @@ private[core] class SdgEngine(
     val w = s.w
     do (s.stage: @annotation.switch) match {
       case S_PF_OFF =>
-        sim.prefetch(g.addrOffset(w.cur), hint)
-        sim.prefetch(g.addrOffset(w.cur + 1), hint) // same line 15/16 of the time
+        sim.prefetch(SimLayout.offset(w.cur), hint)
+        sim.prefetch(SimLayout.offset(w.cur + 1), hint) // same line 15/16 of the time
         s.stage = S_DEG
 
       case S_DEG =>
         val v = w.cur
-        sim.read(g.addrOffset(v)); sim.read(g.addrOffset(v + 1)); sim.compute(2)
+        sim.read(SimLayout.offset(v)); sim.read(SimLayout.offset(v + 1)); sim.compute(2)
         s.d = g.degree(v); s.base = g.edgeBegin(v)
         if (s.d == 0) { w.done = true; return }
         if (needsGather) { gatherAndInit(s); return }
@@ -172,13 +172,13 @@ private[core] class SdgEngine(
           case SamplingMethod.ALIAS =>
             s.x = w.rng.nextInt(s.d); sim.compute(8)
             s.y = w.rng.nextDouble(); sim.compute(8)
-            prefetch(g.addrAliasPair(s.base + s.x))
+            prefetch(SimLayout.aliasPair(s.base + s.x))
             s.stage = S_ALIAS_PICK
           case SamplingMethod.ITS =>
-            prefetch(g.addrCdf(s.base + s.d - 1))
+            prefetch(SimLayout.cdf(s.base + s.d - 1))
             s.stage = S_ITS_TOTAL
           case SamplingMethod.REJ =>
-            prefetch(g.addrRejMax(v))
+            prefetch(SimLayout.rejMax(v))
             s.stage = S_REJ_PSTAR
           case SamplingMethod.OREJ =>
             orejDraw(s)
@@ -186,17 +186,17 @@ private[core] class SdgEngine(
         }
 
       case S_FIN =>
-        sim.read(g.addrNeighbor(s.chosen))
+        sim.read(SimLayout.neighbor(s.chosen))
         finishStep(s, s.chosen)
 
       case S_ALIAS_PICK =>
         val t = s.base + s.x
-        sim.read(g.addrAliasPair(t)); sim.compute(4)
+        sim.read(SimLayout.aliasPair(t)); sim.compute(4)
         val e = if (s.y < tables.aliasProb(t) || tables.aliasSecond(t) < 0) t else tables.aliasSecond(t)
         finishStep(s, e)
 
       case S_ITS_TOTAL =>
-        sim.read(g.addrCdf(s.base + s.d - 1))
+        sim.read(SimLayout.cdf(s.base + s.d - 1))
         startSearch(s, tables.cdf(s.base + s.d - 1))
 
       case S_ITS_SEARCH =>
@@ -208,7 +208,7 @@ private[core] class SdgEngine(
         searchNext(s)
 
       case S_REJ_PSTAR =>
-        sim.read(g.addrRejMax(w.cur))
+        sim.read(SimLayout.rejMax(w.cur))
         s.mx = tables.rejMax(w.cur).toDouble
         rejDraw(s)
         s.stage = S_REJ_TRY
@@ -221,7 +221,7 @@ private[core] class SdgEngine(
 
       case S_OREJ_TRY =>
         val e = s.base + s.x
-        sim.read(g.addrNeighbor(e))
+        sim.read(SimLayout.neighbor(e))
         closeGen()
         val c0 = sim.cycles
         val p = app.weight(ctx, g, w, e)
@@ -235,12 +235,12 @@ private[core] class SdgEngine(
   /** Edge `e` is sampled: prefetch its neighbor id for the final stage. */
   private def choose(s: Slot, e: Int): Unit = {
     s.chosen = e
-    prefetch(g.addrNeighbor(e))
+    prefetch(SimLayout.neighbor(e))
     s.stage = S_FIN
   }
 
   @inline private def searchAddr(s: Slot, i: Int): Long =
-    if (needsGather) gatherAddr(s.gatherId, i) else g.addrCdf(s.base + i)
+    if (needsGather) gatherAddr(s.gatherId, i) else SimLayout.cdf(s.base + i)
 
   /** Draw the ITS target in `[0, total)` and search `[0, d-1]` for it. */
   private def startSearch(s: Slot, total: Double): Unit = {
@@ -264,13 +264,13 @@ private[core] class SdgEngine(
   }
 
   @inline private def rejAddr(s: Slot): Long =
-    if (needsGather) gatherAddr(s.gatherId, s.x) else g.addrWeight(s.base + s.x)
+    if (needsGather) gatherAddr(s.gatherId, s.x) else SimLayout.weight(s.base + s.x)
 
   @inline private def orejDraw(s: Slot): Unit = {
     s.x = s.w.rng.nextInt(s.d); sim.compute(8)
     s.y = s.w.rng.nextDouble() * s.mx; sim.compute(8)
-    prefetch(g.addrNeighbor(s.base + s.x))
-    prefetch(g.addrWeight(s.base + s.x))
+    prefetch(SimLayout.neighbor(s.base + s.x))
+    prefetch(SimLayout.weight(s.base + s.x))
   }
 
   /** Dynamic RW: gather + init run synchronously inside the slot visit
@@ -311,12 +311,8 @@ private[core] class SdgEngine(
     }
   }
 
-  private val gatherStride: Long = {
-    val bytes = 8L * (g.maxDegree + 1)
-    ((bytes + 63) / 64) * 64
-  }
-  @inline private def gatherAddr(slot: Int, i: Int): Long =
-    CSRGraph.GatherBase + slot.toLong * gatherStride + 8L * i
+  private val gatherStride = SimLayout.gatherStride(g.maxDegree)
+  @inline private def gatherAddr(slot: Int, i: Int): Long = SimLayout.gather(gatherStride, slot, i)
 
   /** Gather (Alg. 2 lines 9-12): stream E_v applying Weight, filling the
     * slot-local buffer; returns the total mass. Charged as streaming —
@@ -328,7 +324,7 @@ private[core] class SdgEngine(
     var i = 0
     while (i < d) {
       val e = base + i
-      sim.streamRead(g.addrNeighbor(e))
+      sim.streamRead(SimLayout.neighbor(e))
       val p = app.weight(ctx, g, w, e)
       buf(i) = p
       sim.streamWrite(gatherAddr(slot, i))
@@ -356,10 +352,6 @@ private[core] class SdgEngine(
     mx
   }
 
-  private val outStride = 4L * 4096
-  @inline private def outAddr(w: Walker): Long =
-    CSRGraph.OutputBase + w.id.toLong * outStride + 4L * w.length
-
   /** Move the slot's walker along edge `e`, write output, run Update; the
     * slot's next step starts over.
     */
@@ -367,15 +359,13 @@ private[core] class SdgEngine(
     closeGen()
     val w = s.w
     w.move(g.neighbor(e))
-    sim.streamWrite(outAddr(w))
+    sim.streamWrite(SimLayout.output(w.id, w.length))
     sim.compute(4)
     if (app.update(ctx, g, w, e)) w.done = true
     chargeOverhead()
     s.stage = firstStage
   }
 
-  private val FrameworkBase = 12L << 40
-  private val FrameworkBytes = 64L * 1024 * 1024
   private var overheadCounter = 0L
 
   /** Charge the per-step framework overhead (GW/KK emulation). */
@@ -385,8 +375,7 @@ private[core] class SdgEngine(
     var i = 0
     while (i < overhead.reads) {
       overheadCounter += 1
-      val addr = FrameworkBase + ((overheadCounter * 0x9E3779B97F4A7C15L) & (FrameworkBytes - 1)) / 64 * 64
-      sim.read(addr)
+      sim.read(SimLayout.framework(overheadCounter))
       i += 1
     }
   }

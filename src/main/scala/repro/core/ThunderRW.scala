@@ -105,7 +105,7 @@ object ThunderRW {
           keepWalks: Boolean = true): RunSummary = {
     require(threads >= 1, s"threads must be at least 1, got $threads")
     require(nQueries >= 0, s"nQueries must be non-negative, got $nQueries")
-    require(sources.length >= nQueries, "need a source per query")
+    require(sources.length >= nQueries, s"need a source per query: $nQueries queries, ${sources.length} sources")
     (0 until nQueries).foreach(q => requireSource(g, q, sources(q)))
 
     val (tables, preprocCycles) = preprocess(g, app, sampling, cfg)

@@ -1,7 +1,6 @@
 package repro.core
 
-import repro.graph.CSRGraph
-import repro.memsim.MemSim
+import repro.memsim.{MemSim, SimLayout}
 
 /** One random-walk query (the paper's walker Q).
   *
@@ -38,18 +37,18 @@ final class Walker(val id: Int, source: Int, seedBase: Long) {
 /** Charging context handed to user-defined functions: dispatches reads as
   * streaming (inside Gather's sequential scan) or dependent (random).
   */
-final class SimCtx(val sim: MemSim, val g: CSRGraph) {
+final class SimCtx(val sim: MemSim) {
   var streaming: Boolean = false
   @inline def read(addr: Long): Unit =
     if (streaming) sim.streamRead(addr) else sim.read(addr)
   @inline def compute(n: Int): Unit = sim.compute(n)
   @inline def mispredict(p: Double): Unit = sim.mispredict(p)
 
-  /** Charge for one probe of [[CSRGraph.isNeighbor]]: load the neighbor
-    * id, compare, and a branch mispredicted 12% of the time.
+  /** Charge for one probe of [[repro.graph.CSRGraph.isNeighbor]]: load the
+    * neighbor id, compare, and a branch mispredicted 12% of the time.
     */
   val neighborProbe: Int => Unit = e => {
-    read(g.addrNeighbor(e))
+    read(SimLayout.neighbor(e))
     compute(3)
     mispredict(0.12)
   }

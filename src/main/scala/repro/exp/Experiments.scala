@@ -15,11 +15,20 @@ object Experiments {
   val cfg: MemConfig = MemConfig()
 
   /** Global workload scale knob: REPRO_SCALE=0.1 shrinks query counts 10x;
-    * tests may set `scaleOverride` directly. Benches run at 1.0.
+    * tests set `scaleOverride` instead. Benches run at 1.0. Either source
+    * must give a finite positive scale.
     */
   @volatile var scaleOverride: Option[Double] = None
-  def scale: Double =
-    scaleOverride.getOrElse(sys.env.get("REPRO_SCALE").map(_.toDouble).getOrElse(1.0))
+  def scale: Double = scaleOverride match {
+    case Some(s) => positiveScale(s, s"Experiments.scaleOverride = $s")
+    case None => sys.env.get("REPRO_SCALE").fold(1.0)(v =>
+      positiveScale(v.toDoubleOption.getOrElse(Double.NaN), s"REPRO_SCALE=$v"))
+  }
+
+  private def positiveScale(s: Double, source: String): Double = {
+    require(s > 0 && !s.isInfinite, s"$source: the scale must be a finite positive number")
+    s
+  }
 
   /** A paper query count `x` at the current scale, never below 16. */
   def scaled(x: Int): Int = math.max(16, (x * scale).toInt)
@@ -65,12 +74,12 @@ object Experiments {
   }
 
   /** Source vertex per query id: PPR is single-source; the others start
-    * from (deterministically) random vertices across the graph.
+    * from random vertices across the graph, drawn with seed 5.
     */
-  def sources(app: String, g: CSRGraph, n: Int, seed: Long = 5L): Array[Int] =
+  def sources(app: String, g: CSRGraph, n: Int): Array[Int] =
     if (app == "PPR") { val hub = hubVertex(g); Array.fill(n)(hub) }
     else {
-      val rng = new java.util.SplittableRandom(seed)
+      val rng = new java.util.SplittableRandom(5L)
       Array.fill(n)(rng.nextInt(g.numVertices))
     }
 

@@ -96,7 +96,7 @@ object Tables {
   final case class Table5Row(key: String, name: String, v: Int, e: Int,
                              dAvg: Double, dMax: Int, memoryMB: Double, scale: Int)
 
-  def table5(spark: SparkSession, keys: Seq[String] = GraphGen.datasets.map(_.key)): Seq[Table5Row] = {
+  def table5(spark: SparkSession, keys: Seq[String] = GraphGen.keys): Seq[Table5Row] = {
     val rows = keys.map { k =>
       val s = GraphGen.spec(k)
       val g = graph(spark, k)
@@ -114,10 +114,9 @@ object Tables {
   final case class Table6Row(dataset: String, app: String, system: String,
                              seconds: Double, preprocSeconds: Double, steps: Long)
 
-  def table6(spark: SparkSession,
-             keys: Seq[String] = GraphGen.datasets.map(_.key),
-             apps: Seq[String] = Seq("PPR", "DeepWalk", "Node2Vec", "MetaPath"),
-             systems: Seq[repro.systems.SystemSpec] = Systems.all): Seq[Table6Row] = {
+  def table6(spark: SparkSession, keys: Seq[String] = GraphGen.keys,
+             apps: Seq[String] = Seq("PPR", "DeepWalk", "Node2Vec", "MetaPath")): Seq[Table6Row] = {
+    val systems = Systems.all
     val rows = for {
       key <- keys
       app <- apps
@@ -176,7 +175,7 @@ object Tables {
   final case class Table9Row(dataset: String, simSeconds: Double, wallSeconds: Double,
                              kNaive: Int, kAlias: Int, kIts: Int, kRej: Int, kOrej: Int)
 
-  def table9(spark: SparkSession, keys: Seq[String] = GraphGen.datasets.map(_.key),
+  def table9(spark: SparkSession, keys: Seq[String] = GraphGen.keys,
              maxK: Int = 256): Seq[Table9Row] = {
     val rows = keys.map { k =>
       val g = graph(spark, k)
@@ -231,4 +230,16 @@ object Tables {
       f"${r.method}%-7s ${r.instrWo}%9.1f ${r.instrW}%9.1f ${r.instrAmac}%9.1f ${r.cyclesWo}%9.1f ${r.cyclesW}%9.1f ${r.cyclesAmac}%9.1f"))
     rows
   }
+
+  /** Every table runner by name, in the paper's order. A runner takes the
+    * dataset keys, which only Tables 5, 6 and 9 read.
+    */
+  val runners: Seq[(String, (SparkSession, Seq[String]) => Unit)] = Seq(
+    "1" -> ((s, _) => table1(s)), "2" -> ((s, _) => table2(s)),
+    "5" -> ((s, k) => table5(s, k)), "6" -> ((s, k) => table6(s, k)),
+    "7" -> ((s, _) => table7(s)), "8" -> ((s, _) => table8(s)),
+    "9" -> ((s, k) => table9(s, k)), "10" -> ((s, _) => table10(s)),
+    "11" -> ((s, _) => table11(s)), "12" -> ((s, _) => table12(s)),
+    "13" -> ((s, _) => table13(s)),
+  )
 }

@@ -6,10 +6,6 @@ package repro.graph
   * entries; edge `e` (an index into `neighbors`) carries a weight and a
   * label, stored as parallel arrays exactly as in the paper. Both arrays
   * are required and have one entry per edge.
-  *
-  * Every array is also mapped into a *simulated address space* (disjoint
-  * 1 TB regions) so the engines can charge the memory simulator for the
-  * same loads the C++ implementation would issue.
   */
 final class CSRGraph(
     val name: String,
@@ -65,29 +61,4 @@ final class CSRGraph(
   def memoryBytes: Long =
     4L * offsets.length + 4L * neighbors.length +
       4L * weights.length + 4L * labels.length
-
-  // ---- simulated address space -------------------------------------------
-  import CSRGraph._
-  @inline def addrOffset(v: Int): Long = OffsetsBase + 4L * v
-  @inline def addrNeighbor(e: Int): Long = NeighborsBase + 4L * e
-  @inline def addrWeight(e: Int): Long = WeightsBase + 4L * e
-  @inline def addrLabel(e: Int): Long = LabelsBase + 4L * e
-  @inline def addrAliasPair(e: Int): Long = AliasPairBase + 8L * e
-  @inline def addrCdf(e: Int): Long = CdfBase + 8L * e
-  @inline def addrRejMax(v: Int): Long = RejMaxBase + 4L * v
-}
-
-object CSRGraph {
-  // Disjoint simulated regions, 1 TB apart so they never alias.
-  val OffsetsBase: Long = 0L
-  val NeighborsBase: Long = 1L << 40
-  val WeightsBase: Long = 2L << 40
-  val LabelsBase: Long = 3L << 40
-  val AliasPairBase: Long = 5L << 40
-  val CdfBase: Long = 6L << 40
-  val RejMaxBase: Long = 7L << 40
-  val OutputBase: Long = 8L << 40
-  val GatherBase: Long = 9L << 40   // per-step thread-local C buffer
-  val VisitedBase: Long = 10L << 40 // BFS/SSSP per-vertex state
-  val FrontierBase: Long = 11L << 40
 }

@@ -47,6 +47,8 @@ object GraphGen {
     DatasetSpec("fs", "friendster",     82_000, 2_262_500, 0.25, bipartite = false,  5, 800),
   )
 
+  val keys: Seq[String] = datasets.map(_.key) // every dataset, in the paper's order
+
   def spec(key: String): DatasetSpec =
     datasets.find(_.key == key).getOrElse(sys.error(s"unknown dataset '$key'"))
 
@@ -99,8 +101,8 @@ object GraphGen {
     }
 
   /** Build the CSR analogue for a dataset key (generation + CSR assembly). */
-  def build(spark: SparkSession, key: String, seed: Long = 42L): CSRGraph = {
+  def build(spark: SparkSession, key: String): CSRGraph = {
     val s = spec(key)
-    GraphBuilder.fromEdges(edges(spark, s, seed), s.vertices, s.key, undirect = true)
+    GraphBuilder.fromEdges(edges(spark, s), s.vertices, s.key, undirect = true)
   }
 }

@@ -1,7 +1,7 @@
 package repro.sampling
 
 import repro.graph.CSRGraph
-import repro.memsim.MemSim
+import repro.memsim.{MemSim, SimLayout}
 
 /** The five sampling methods of §2.3. */
 object SamplingMethod extends Enumeration {
@@ -60,10 +60,10 @@ object StaticTables {
           var e = g.edgeBegin(v)
           val end = g.offsets(v + 1)
           while (e < end) {
-            if (sim != null) { sim.streamRead(g.addrWeight(e)); sim.compute(2) }
+            if (sim != null) { sim.streamRead(SimLayout.weight(e)); sim.compute(2) }
             acc += w(e)
             cdf(e) = acc
-            if (sim != null) sim.streamWrite(g.addrCdf(e))
+            if (sim != null) sim.streamWrite(SimLayout.cdf(e))
             e += 1
           }
           v += 1
@@ -76,13 +76,13 @@ object StaticTables {
           var e = g.edgeBegin(v)
           val end = g.offsets(v + 1)
           while (e < end) {
-            if (sim != null) { sim.streamRead(g.addrWeight(e)); sim.compute(2) }
+            if (sim != null) { sim.streamRead(SimLayout.weight(e)); sim.compute(2) }
             val we = w(e).toFloat
             if (we > mx) mx = we
             e += 1
           }
           rejMax(v) = mx
-          if (sim != null) sim.streamWrite(g.addrRejMax(v))
+          if (sim != null) sim.streamWrite(SimLayout.rejMax(v))
           v += 1
         }
       case SamplingMethod.ALIAS =>
@@ -97,7 +97,7 @@ object StaticTables {
             var i = 0
             var sum = 0.0
             while (i < d) {
-              if (sim != null) { sim.streamRead(g.addrWeight(base + i)); sim.compute(2) }
+              if (sim != null) { sim.streamRead(SimLayout.weight(base + i)); sim.compute(2) }
               probs(i) = w(base + i); sum += probs(i); i += 1
             }
             val (hp, hs) = buildAlias(probs, sum, sim)
@@ -105,7 +105,7 @@ object StaticTables {
             while (i < d) {
               aliasP(base + i) = hp(i)
               aliasB(base + i) = if (hs(i) < 0) -1 else base + hs(i)
-              if (sim != null) sim.streamWrite(g.addrAliasPair(base + i))
+              if (sim != null) sim.streamWrite(SimLayout.aliasPair(base + i))
               i += 1
             }
           }

@@ -1,7 +1,7 @@
 package repro.systems
 
 import repro.graph.CSRGraph
-import repro.memsim.{MemSim, SimStats}
+import repro.memsim.{MemSim, SimLayout, SimStats}
 
 /** Conventional single-operation graph workloads (BFS, SSSP) on the same
   * simulator, for the Table 1 comparison: frontier-based traversals scan
@@ -10,8 +10,6 @@ import repro.memsim.{MemSim, SimStats}
   * much lower memory-bound than random walks.
   */
 object GraphAlgos {
-
-  private val DistBase = 13L << 40
 
   /** Frontier BFS from `src`. Returns (levels reached, visited count). */
   def bfs(g: CSRGraph, sim: MemSim, src: Int): (Int, Int) = {
@@ -26,19 +24,19 @@ object GraphAlgos {
       var i = 0
       while (i < frontier.length) {
         val u = frontier(i)
-        sim.streamRead(CSRGraph.FrontierBase + 4L * i)
-        sim.readOverlapped(g.addrOffset(u)); sim.readOverlapped(g.addrOffset(u + 1)); sim.compute(3)
+        sim.streamRead(SimLayout.frontier(i))
+        sim.readOverlapped(SimLayout.offset(u)); sim.readOverlapped(SimLayout.offset(u + 1)); sim.compute(3)
         var e = g.edgeBegin(u)
         val end = g.offsets(u + 1)
         while (e < end) {
-          sim.streamRead(g.addrNeighbor(e))
+          sim.streamRead(SimLayout.neighbor(e))
           val v = g.neighbor(e)
-          sim.readOverlapped(CSRGraph.VisitedBase + v)
+          sim.readOverlapped(SimLayout.visited(v))
           sim.compute(4); sim.mispredict(0.15)
           if (!visited(v)) {
             visited(v) = true
             visitedCount += 1
-            sim.streamWrite(CSRGraph.FrontierBase + 4L * (i + next.length))
+            sim.streamWrite(SimLayout.frontier(i + next.length))
             next += v
           }
           e += 1
@@ -67,22 +65,22 @@ object GraphAlgos {
       var i = 0
       while (i < frontier.length) {
         val u = frontier(i)
-        sim.streamRead(CSRGraph.FrontierBase + 4L * i)
-        sim.readOverlapped(g.addrOffset(u)); sim.readOverlapped(g.addrOffset(u + 1)); sim.compute(3)
-        sim.readOverlapped(DistBase + 4L * u)
+        sim.streamRead(SimLayout.frontier(i))
+        sim.readOverlapped(SimLayout.offset(u)); sim.readOverlapped(SimLayout.offset(u + 1)); sim.compute(3)
+        sim.readOverlapped(SimLayout.dist(u))
         val du = dist(u)
         var e = g.edgeBegin(u)
         val end = g.offsets(u + 1)
         while (e < end) {
-          sim.streamRead(g.addrNeighbor(e))
-          sim.streamRead(g.addrWeight(e))
+          sim.streamRead(SimLayout.neighbor(e))
+          sim.streamRead(SimLayout.weight(e))
           val v = g.neighbor(e)
           val w = g.weight(e)
-          sim.readOverlapped(DistBase + 4L * v)
+          sim.readOverlapped(SimLayout.dist(v))
           sim.compute(5); sim.mispredict(0.2)
           if (du + w < dist(v)) {
             dist(v) = du + w
-            sim.readOverlapped(DistBase + 4L * v) // write-back
+            sim.readOverlapped(SimLayout.dist(v)) // write-back
             if (!inNext(v)) { inNext(v) = true; next += v }
           }
           e += 1

@@ -108,7 +108,7 @@ class AppsSpec extends SparkSpec with GraphFixtures {
   test("Node2Vec weight function returns {1/a, 1, 1/b} per Eq. 1") {
     val app = new Apps.Node2Vec(2.0, 0.5, 10)
     val sim = new MemSim(cfg)
-    val ctx = new SimCtx(sim, g)
+    val ctx = new SimCtx(sim)
     val w = new Walker(0, 0, 1L)
     // no prev yet -> maxWeight
     assert(app.weight(ctx, g, w, g.edgeBegin(0)) == app.maxWeight(g))

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{GraphFixtures, SparkSpec}
 import repro.graph.CSRGraph
-import repro.memsim.{MemConfig, MemSim, PrefetchHint, SimStats}
+import repro.memsim.{MemConfig, MemSim, PrefetchHint, SimLayout, SimStats}
 import repro.sampling.SamplingMethod
 
 /** Golden simulator statistics: the simulator is deterministic, so a
@@ -60,11 +60,11 @@ class GoldenStatsSpec extends SparkSpec with GraphFixtures {
     val m = new MemSim(MemConfig(l1Bytes = 2048, l2Bytes = 8192, l3Bytes = 65536, mshrs = 6))
     val rng = new java.util.SplittableRandom(17L)
     val pending = new Array[Long](32)
-    var stream = CSRGraph.OutputBase
+    var stream = SimLayout.OutputBase
     def addr(): Long = rng.nextInt(4) match {
       case 0 => 64L * rng.nextInt(32) + rng.nextInt(64)
-      case 1 => CSRGraph.NeighborsBase + 4L * rng.nextInt(1 << 14)
-      case _ => CSRGraph.CdfBase + 8L * rng.nextInt(1 << 20)
+      case 1 => SimLayout.NeighborsBase + 4L * rng.nextInt(1 << 14)
+      case _ => SimLayout.CdfBase + 8L * rng.nextInt(1 << 20)
     }
     var i = 0
     while (i < 200000) {

@@ -81,6 +81,9 @@ class ThunderRWSparkSpec extends SparkSpec with GraphFixtures {
     val e4 = intercept[IllegalArgumentException](ThunderRW.run(spark, g, new Apps.DeepWalk(5),
       SamplingMethod.OREJ, EngineKind.Sequential, 10, src, threads = 2, cfg = cfg.copy(mshrs = 0)))
     assert(e4.getMessage.contains("mshrs 0 must be at least 1"))
+    val e5 = intercept[IllegalArgumentException](ThunderRW.run(spark, g, new Apps.DeepWalk(5),
+      SamplingMethod.OREJ, EngineKind.Sequential, 12, src, threads = 2, cfg = cfg))
+    assert(e5.getMessage.contains("need a source per query: 12 queries, 10 sources"), e5.getMessage)
     // A source outside [0, V) fails on the driver, not as a task failure.
     val V = g.numVertices
     for (bad <- Seq(V, -1)) {

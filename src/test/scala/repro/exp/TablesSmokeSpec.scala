@@ -111,4 +111,21 @@ class TablesSmokeSpec extends SparkSpec {
     val amSi = Experiments.runCell(spark, Systems.KKsi, "DeepWalk", "am")
     assert(amSi.execSeconds < am.execSeconds)
   }
+
+  test("a scale that is not finite and positive fails early, naming its source") {
+    for (bad <- Seq(0.0, -1.0, Double.NaN)) {
+      Experiments.scaleOverride = Some(bad)
+      val e = intercept[IllegalArgumentException](Experiments.scaled(100))
+      assert(e.getMessage.contains(s"Experiments.scaleOverride = $bad"), e.getMessage)
+      assert(e.getMessage.contains("finite positive"), e.getMessage)
+    }
+  }
+
+  test("TableJob names every table once and rejects an unknown one, listing the valid names") {
+    val names = Tables.runners.map(_._1)
+    assert(names == Seq("1", "2", "5", "6", "7", "8", "9", "10", "11", "12", "13"))
+    val e = intercept[IllegalArgumentException](repro.jobs.TableJob.main(Array("4", "lj")))
+    assert(e.getMessage.contains("unknown table '4'"), e.getMessage)
+    assert(e.getMessage.contains(names.mkString(", ")), e.getMessage)
+  }
 }

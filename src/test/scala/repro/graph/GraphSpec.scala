@@ -2,6 +2,7 @@ package repro.graph
 
 import org.apache.spark.sql.functions._
 import repro.{GraphFixtures, Oracle, SparkSpec}
+import repro.memsim.SimLayout
 
 class GraphSpec extends SparkSpec with GraphFixtures {
 
@@ -82,14 +83,12 @@ class GraphSpec extends SparkSpec with GraphFixtures {
   }
 
   test("simulated address regions are disjoint") {
-    val g = tinyGraph()
-    val e = g.numEdges - 1
-    val addrs = Seq(g.addrOffset(g.numVertices), g.addrNeighbor(e), g.addrWeight(e),
-      g.addrLabel(e), g.addrAliasPair(e), g.addrCdf(e), g.addrRejMax(g.numVertices - 1))
-    addrs.indices.foreach { i =>
-      addrs.indices.foreach { j =>
-        if (i != j) assert((addrs(i) >> 40) != (addrs(j) >> 40))
-      }
+    val regions = SimLayout.regions
+    assert(regions.map(_.base).distinct.size == regions.size, regions.map(_.name))
+    regions.foreach { r =>
+      assert(r.base % (1L << 40) == 0, s"${r.name} base ${r.base} is not 1 TB-aligned")
+      assert(r.at(0) == r.base, s"${r.name} index 0 maps to ${r.at(0)}, not its base ${r.base}")
+      assert((r.at(Int.MaxValue) >> 40) == (r.base >> 40), s"${r.name} runs past its 1 TB region")
     }
   }
 
