@@ -2,7 +2,7 @@ package repro.core
 
 import repro.graph.CSRGraph
 import repro.memsim.{MemSim, PrefetchHint, SimLayout}
-import repro.sampling.{SamplingMethod, StaticTables, WalkerType}
+import repro.sampling.{InitPhase, SamplingMethod, StaticTables, WalkerType}
 
 /** The Gather–Move–Update engine as one SDG stage machine (Table 4), run
   * under the schedule `kind`:
@@ -38,20 +38,15 @@ private[core] class SdgEngine(
 ) {
   import SdgEngine._
 
-  private val ctx = new SimCtx(sim)
-  private val dynamic: Boolean = app.walkerType == WalkerType.Dynamic
-  private val uniform: Boolean = app.walkerType == WalkerType.Unbiased
-  // O-REJ never gathers; NAIVE is only legal for unbiased walks. A gathering
-  // sampler searches and tests the slot's gather buffer instead of tables.
-  private val needsGather: Boolean =
-    dynamic && sampling != SamplingMethod.OREJ && sampling != SamplingMethod.NAIVE
-
-  require(!(sampling == SamplingMethod.NAIVE && !uniform),
-    "NAIVE sampling only supports unbiased random walk (§2.3)")
-  require(needsGather || dynamic || sampling == SamplingMethod.NAIVE ||
-    sampling == SamplingMethod.OREJ || tables != null,
-    s"static/unbiased $sampling requires preprocessed tables")
+  StaticTables.requireFits(tables, g, app.walkerType, sampling)
   require(taskRing >= 1, s"taskRing must be at least 1, got $taskRing")
+
+  private val ctx = new SimCtx(sim)
+  private val uniform: Boolean = app.walkerType == WalkerType.Unbiased
+  // A sampler whose init runs per step reads the slot's gather buffer, not tables.
+  private val needsGather: Boolean = InitPhase.of(app.walkerType, sampling) == InitPhase.PerStep
+  // O-REJ's bound, read once: an app without MaxWeight fails here, not mid-walk.
+  private val orejMax: Double = if (sampling == SamplingMethod.OREJ) app.maxWeight(g) else 0.0
 
   private val interleaved = kind != EngineKind.Sequential
   private val chainAll = kind == EngineKind.Amac
@@ -163,7 +158,7 @@ private[core] class SdgEngine(
         s.d = g.degree(v); s.base = g.edgeBegin(v)
         if (s.d == 0) { w.done = true; return }
         if (needsGather) { gatherAndInit(s); return }
-        if (sampling == SamplingMethod.OREJ) { s.mx = app.maxWeight(g); sim.compute(2) }
+        if (sampling == SamplingMethod.OREJ) { s.mx = orejMax; sim.compute(2) }
         openGen()
         sampling match {
           case SamplingMethod.NAIVE =>
@@ -307,7 +302,6 @@ private[core] class SdgEngine(
         openGen()
         rejDraw(s)
         s.stage = S_REJ_TRY
-      case other => sys.error(s"gather not defined for $other")
     }
   }
 

@@ -16,32 +16,24 @@ object RingTuner {
       simulatedSeconds: Double, wallSeconds: Double,
   )
 
-  private def tuneRun(g: CSRGraph, app: RandomWalkApp, m: SamplingMethod.Value,
-                      tables: StaticTables, k: Int, n: Int, cfg: MemConfig): Double = {
-    val sources = Array.tabulate(n)(i => ((i.toLong * 2654435761L) % g.numVertices).toInt)
-    val walkers = ThunderRW.makeWalkers(0 until n, sources, seed = 99L)
-    ThunderRW.runLocal(g, app, m, EngineKind.Interleaved, tables, walkers, cfg, taskRing = k)
-      .stats.seconds
-  }
-
   def tune(g: CSRGraph, cfg: MemConfig = MemConfig(), maxK: Int = 1024): Tuning = {
     val wall0 = System.nanoTime()
     val n = math.max(500, math.min(g.numVertices, g.numVertices / 10 + 500))
+    val sources = Array.tabulate(n)(i => ((i.toLong * 2654435761L) % g.numVertices).toInt)
     val static = new Apps.DeepWalk(targetLength = 10)
     val unbiased = new Apps.DeepWalkUnbiased(targetLength = 10)
     var simSeconds = 0.0
 
-    val aliasT = StaticTables.build(g, SamplingMethod.ALIAS, uniform = false)
-    val itsT = StaticTables.build(g, SamplingMethod.ITS, uniform = false)
-    val rejT = StaticTables.build(g, SamplingMethod.REJ, uniform = false)
-
-    def sweep(app: RandomWalkApp, m: SamplingMethod.Value, t: StaticTables,
-              upTo: Int): Int = {
+    // Simulated seconds of n walks of `app` at each ring size k <= upTo; returns the best k.
+    def sweep(app: RandomWalkApp, m: SamplingMethod.Value, upTo: Int): Int = {
+      val t = StaticTables.build(g, app.walkerType, m)
       var best = 1
       var bestSec = Double.MaxValue
       var k = 1
       while (k <= upTo) {
-        val s = tuneRun(g, app, m, t, k, n, cfg)
+        val walkers = ThunderRW.makeWalkers(0 until n, sources, seed = 99L)
+        val s = ThunderRW.runLocal(g, app, m, EngineKind.Interleaved, t, walkers, cfg, taskRing = k)
+          .stats.seconds
         simSeconds += s
         if (s < bestSec) { bestSec = s; best = k }
         k *= 2
@@ -49,12 +41,12 @@ object RingTuner {
       best
     }
 
-    val kNaive = sweep(unbiased, SamplingMethod.NAIVE, null, maxK)
-    val kAlias = sweep(static, SamplingMethod.ALIAS, aliasT, maxK)
+    val kNaive = sweep(unbiased, SamplingMethod.NAIVE, maxK)
+    val kAlias = sweep(static, SamplingMethod.ALIAS, maxK)
     val kStar = math.max(kNaive, kAlias)
-    val kIts = sweep(static, SamplingMethod.ITS, itsT, kStar)
-    val kRej = sweep(static, SamplingMethod.REJ, rejT, kStar)
-    val kOrej = sweep(static, SamplingMethod.OREJ, null, kStar)
+    val kIts = sweep(static, SamplingMethod.ITS, kStar)
+    val kRej = sweep(static, SamplingMethod.REJ, kStar)
+    val kOrej = sweep(static, SamplingMethod.OREJ, kStar)
 
     Tuning(kNaive, kAlias, kIts, kRej, kOrej, simSeconds,
       (System.nanoTime() - wall0) / 1e9)

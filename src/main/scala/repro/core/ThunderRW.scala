@@ -5,7 +5,7 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.graph.CSRGraph
 import repro.memsim.{MemConfig, MemSim, PrefetchHint, SimStats}
-import repro.sampling.{SamplingMethod, StaticTables, WalkerType}
+import repro.sampling.{InitPhase, SamplingMethod, StaticTables}
 
 import scala.collection.immutable.ArraySeq
 
@@ -44,24 +44,16 @@ final case class RunSummary(parts: Seq[PartResult], preprocSeconds: Double) {
   */
 object ThunderRW {
 
-  /** Does (app, sampling) need the static preprocessing pass (Alg. 3)? */
-  def needsTables(app: RandomWalkApp, sampling: SamplingMethod.Value): Boolean =
-    app.walkerType != WalkerType.Dynamic &&
-      (sampling == SamplingMethod.ITS || sampling == SamplingMethod.ALIAS ||
-        sampling == SamplingMethod.REJ)
-
-  /** Build static tables, charging preprocessing cost to a fresh sim.
-    * Returns (tables-or-null, preprocessing cycles).
+  /** `StaticTables.build` charged to a fresh sim, which a run without the
+    * pass never allocates. Returns (tables-or-null, preprocessing cycles).
     */
   def preprocess(g: CSRGraph, app: RandomWalkApp, sampling: SamplingMethod.Value,
-                 cfg: MemConfig, charge: Boolean = true): (StaticTables, Double) = {
-    if (!needsTables(app, sampling)) (null, 0.0)
+                 cfg: MemConfig): (StaticTables, Double) =
+    if (InitPhase.of(app.walkerType, sampling) != InitPhase.Preprocess) (null, 0.0)
     else {
-      val sim = if (charge) new MemSim(cfg) else null
-      val t = StaticTables.build(g, sampling, uniform = app.walkerType == WalkerType.Unbiased, sim)
-      (t, if (sim == null) 0.0 else sim.cycles)
+      val sim = new MemSim(cfg)
+      (StaticTables.build(g, app.walkerType, sampling, sim), sim.cycles)
     }
-  }
 
   /** Construct walkers for ids `[0, n)` with the given source mapping. */
   def makeWalkers(ids: Seq[Int], sources: Array[Int], seed: Long): Array[Walker] =
@@ -73,6 +65,7 @@ object ThunderRW {
 
   /** Run a batch of walkers on one simulated worker (no Spark) — the unit
     * the Spark driver distributes, also used directly by unit tests.
+    * `tables` must be what `StaticTables.build` returns for the run.
     */
   def runLocal(g: CSRGraph, app: RandomWalkApp, sampling: SamplingMethod.Value,
                kind: EngineKind.Value, tables: StaticTables, walkers: Array[Walker],

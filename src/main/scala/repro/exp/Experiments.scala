@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.graph.{CSRGraph, GraphGen}
 import repro.memsim.{MemConfig, PrefetchHint}
-import repro.sampling.SamplingMethod
+import repro.sampling.{SamplingMethod, StaticTables}
 import repro.systems.SystemSpec
 
 /** Shared experiment harness: dataset cache, workload construction and the
@@ -100,7 +100,7 @@ object Experiments {
                  kind: EngineKind.Value, n: Int, length: Int = 80,
                  hint: PrefetchHint.Value = PrefetchHint.T0): EngineResult = {
     val app = makeApp(appName, g, length)
-    val (tables, _) = ThunderRW.preprocess(g, app, sampling, cfg, charge = false)
+    val tables = StaticTables.build(g, app.walkerType, sampling)
     val walkers = ThunderRW.makeWalkers(0 until n, sources(appName, g, n), seed = 2021L)
     ThunderRW.runLocal(g, app, sampling, kind, tables, walkers, cfg, hint = hint)
   }

@@ -3,7 +3,7 @@ package repro.memsim
 /** One level of a set-associative, LRU, write-allocate cache.
   *
   * Addresses are non-negative byte addresses in the simulated address
-  * space (see [[repro.graph.CSRGraph]] for the layout). The cache tracks
+  * space (see [[SimLayout]] for the layout). The cache tracks
   * cache-line tags only — no data is stored, since the engines operate on
   * the real JVM arrays and the simulator only accounts for latency.
   *

@@ -310,5 +310,6 @@ final case class SimStats(
 }
 
 object SimStats {
-  def zero: SimStats = SimStats(0, 0, 0, 0, 0, 0, 0, 4, 2.5, 64)
+  private val cfg = MemConfig()
+  def zero: SimStats = SimStats(0, 0, 0, 0, 0, 0, 0, cfg.pipelineWidth, cfg.freqGhz, cfg.lineBytes)
 }

@@ -13,15 +13,38 @@ object WalkerType extends Enumeration {
   val Unbiased, Static, Dynamic = Value
 }
 
+/** When a sampler's init phase runs (§2.3, Alg. 3): NAIVE and O-REJ have
+  * none; ITS, ALIAS and REJ preprocess [[StaticTables]] once for unbiased
+  * and static walks, and init on every step for dynamic walks.
+  */
+object InitPhase extends Enumeration {
+  val NoInit, Preprocess, PerStep = Value
+
+  def of(walkerType: WalkerType.Value, method: SamplingMethod.Value): Value = {
+    require(method != SamplingMethod.NAIVE || walkerType == WalkerType.Unbiased,
+      "NAIVE sampling only supports unbiased random walk (§2.3)")
+    if (method == SamplingMethod.NAIVE || method == SamplingMethod.OREJ) NoInit
+    else if (walkerType == WalkerType.Dynamic) PerStep else Preprocess
+  }
+}
+
+/** What a [[StaticTables]] set was built for; names it in error messages. */
+final case class TableKey(method: SamplingMethod.Value, walkerType: WalkerType.Value,
+                          vertices: Int, edges: Int) {
+  override def toString: String = s"$method tables for $walkerType walks on $vertices vertices and $edges edges"
+}
+
 /** Per-vertex sampling tables built by the static-RW preprocessing pass
   * (Algorithm 3). Only the arrays needed by the chosen method are
   * populated. The alias table is the paper's (H, A) pair: slot e keeps
   * edge e with probability `aliasProb(e)` and otherwise gives way to the
   * *global edge index* `aliasSecond(e)` (-1 for a full bucket).
   * Conceptually (H[e], A[e]) is one struct occupying one cache line slot,
-  * which is how the Move stage machine charges it.
+  * which is how the Move stage machine charges it. `key` says what the
+  * tables were built for.
   */
 final class StaticTables(
+    val key: TableKey,
     val aliasProb: Array[Double],
     val aliasSecond: Array[Int],
     val cdf: Array[Double],
@@ -33,86 +56,69 @@ final class StaticTables(
 
 object StaticTables {
 
-  /** Build tables for `method` over either the uniform distribution
-    * (unbiased RW) or the edge weights (static RW). If `sim` is non-null
-    * the preprocessing cost is charged to it: one streaming pass over the
-    * edges plus per-method init work (divisions for alias normalisation
-    * are the expensive part, charged as core stalls).
+  /** The tables a `method` run of `walkerType` walks on `g` reads: null
+    * without a preprocessing pass, else tables over the uniform distribution
+    * (unbiased RW) or the edge weights (static RW). A non-null `sim` is
+    * charged one streaming pass over the edges plus per-method init work
+    * (alias normalisation divisions are charged as core stalls).
     */
-  def build(g: CSRGraph, method: SamplingMethod.Value, uniform: Boolean,
+  def build(g: CSRGraph, walkerType: WalkerType.Value, method: SamplingMethod.Value,
             sim: MemSim = null): StaticTables = {
+    if (InitPhase.of(walkerType, method) != InitPhase.Preprocess) return null
+    val uniform = walkerType == WalkerType.Unbiased
     val m = g.numEdges
-    var aliasP: Array[Double] = Array.emptyDoubleArray
-    var aliasB: Array[Int] = Array.emptyIntArray
-    var cdf: Array[Double] = Array.emptyDoubleArray
-    var rejMax: Array[Float] = Array.emptyFloatArray
+    val cdf = new Array[Double](if (method == SamplingMethod.ITS) m else 0)
+    val rejMax = new Array[Float](if (method == SamplingMethod.REJ) g.numVertices else 0)
+    val aliasP = new Array[Double](if (method == SamplingMethod.ALIAS) m else 0)
+    val aliasB = new Array[Int](aliasP.length)
 
-    def w(e: Int): Double = if (uniform) 1.0 else g.weight(e).toDouble
-
-    method match {
-      case SamplingMethod.NAIVE | SamplingMethod.OREJ =>
-        // no initialization phase (§2.3); nothing to build or charge
-      case SamplingMethod.ITS =>
-        cdf = new Array[Double](m)
-        var v = 0
-        while (v < g.numVertices) {
-          var acc = 0.0
-          var e = g.edgeBegin(v)
-          val end = g.offsets(v + 1)
-          while (e < end) {
-            if (sim != null) { sim.streamRead(SimLayout.weight(e)); sim.compute(2) }
-            acc += w(e)
-            cdf(e) = acc
-            if (sim != null) sim.streamWrite(SimLayout.cdf(e))
-            e += 1
-          }
-          v += 1
+    // One pass over each vertex's weights; ITS writes its prefix sums as it
+    // goes, REJ the maximum and ALIAS the (H, A) pairs after the pass.
+    var v = 0
+    while (v < g.numVertices) {
+      val base = g.edgeBegin(v)
+      val d = g.degree(v)
+      val probs = new Array[Double](d)
+      var sum = 0.0
+      var mx = 0.0f
+      var i = 0
+      while (i < d) {
+        if (sim != null) { sim.streamRead(SimLayout.weight(base + i)); sim.compute(2) }
+        probs(i) = if (uniform) 1.0 else g.weight(base + i).toDouble
+        sum += probs(i)
+        if (probs(i).toFloat > mx) mx = probs(i).toFloat
+        if (method == SamplingMethod.ITS) {
+          cdf(base + i) = sum
+          if (sim != null) sim.streamWrite(SimLayout.cdf(base + i))
         }
-      case SamplingMethod.REJ =>
-        rejMax = new Array[Float](g.numVertices)
-        var v = 0
-        while (v < g.numVertices) {
-          var mx = 0.0f
-          var e = g.edgeBegin(v)
-          val end = g.offsets(v + 1)
-          while (e < end) {
-            if (sim != null) { sim.streamRead(SimLayout.weight(e)); sim.compute(2) }
-            val we = w(e).toFloat
-            if (we > mx) mx = we
-            e += 1
-          }
-          rejMax(v) = mx
-          if (sim != null) sim.streamWrite(SimLayout.rejMax(v))
-          v += 1
+        i += 1
+      }
+      if (method == SamplingMethod.REJ) {
+        rejMax(v) = mx
+        if (sim != null) sim.streamWrite(SimLayout.rejMax(v))
+      } else if (method == SamplingMethod.ALIAS && d > 0) {
+        val (hp, hs) = buildAlias(probs, sum, sim)
+        i = 0
+        while (i < d) {
+          aliasP(base + i) = hp(i)
+          aliasB(base + i) = if (hs(i) < 0) -1 else base + hs(i)
+          if (sim != null) sim.streamWrite(SimLayout.aliasPair(base + i))
+          i += 1
         }
-      case SamplingMethod.ALIAS =>
-        aliasP = new Array[Double](m)
-        aliasB = new Array[Int](m)
-        var v = 0
-        while (v < g.numVertices) {
-          val base = g.edgeBegin(v)
-          val d = g.degree(v)
-          if (d > 0) {
-            val probs = new Array[Double](d)
-            var i = 0
-            var sum = 0.0
-            while (i < d) {
-              if (sim != null) { sim.streamRead(SimLayout.weight(base + i)); sim.compute(2) }
-              probs(i) = w(base + i); sum += probs(i); i += 1
-            }
-            val (hp, hs) = buildAlias(probs, sum, sim)
-            i = 0
-            while (i < d) {
-              aliasP(base + i) = hp(i)
-              aliasB(base + i) = if (hs(i) < 0) -1 else base + hs(i)
-              if (sim != null) sim.streamWrite(SimLayout.aliasPair(base + i))
-              i += 1
-            }
-          }
-          v += 1
-        }
+      }
+      v += 1
     }
-    new StaticTables(aliasP, aliasB, cdf, rejMax)
+    new StaticTables(TableKey(method, walkerType, g.numVertices, g.numEdges), aliasP, aliasB, cdf, rejMax)
+  }
+
+  /** Rejects `t` unless it is what `build(g, walkerType, method)` returns. */
+  def requireFits(t: StaticTables, g: CSRGraph, walkerType: WalkerType.Value,
+                  method: SamplingMethod.Value): Unit = {
+    val want = Option.when(InitPhase.of(walkerType, method) == InitPhase.Preprocess)(
+      TableKey(method, walkerType, g.numVertices, g.numEdges))
+    val got = Option(t).map(_.key)
+    require(got == want, s"$method on $walkerType walks over ${g.name} needs " +
+      s"${want.getOrElse("no tables")}, got ${got.getOrElse("no tables")}")
   }
 
   /** Walker's alias-table construction over local probabilities.

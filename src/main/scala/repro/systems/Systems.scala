@@ -52,8 +52,7 @@ object Systems {
     Map("PPR" -> OREJ, "DeepWalk" -> OREJ, "Node2Vec" -> OREJ))
 
   /** TRW: ThunderRW — HG's sampler choices plus step interleaving. */
-  val TRW: SystemSpec = SystemSpec("TRW", Threads, EngineKind.Interleaved, Overhead(),
-    Map("PPR" -> NAIVE, "DeepWalk" -> ALIAS, "Node2Vec" -> OREJ, "MetaPath" -> ITS))
+  val TRW: SystemSpec = HG.copy(name = "TRW", kind = EngineKind.Interleaved)
 
   /** §C.4 variants: the GW/KK paradigms with step interleaving grafted on. */
   val GWsi: SystemSpec = GW.copy(name = "GW-si", kind = EngineKind.Interleaved)

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{GraphFixtures, SparkSpec}
 import repro.memsim.{MemConfig, MemSim}
-import repro.sampling.SamplingMethod
+import repro.sampling.{SamplingMethod, StaticTables}
 import repro.graph.CSRGraph
 
 /** Semantics of the four RW applications. */
@@ -18,7 +18,7 @@ class AppsSpec extends SparkSpec with GraphFixtures {
         val rng = new java.util.SplittableRandom(8L)
         Array.fill(n)(rng.nextInt(g.numVertices))
       }
-    val (t, _) = ThunderRW.preprocess(g, app, m, cfg, charge = false)
+    val t = StaticTables.build(g, app.walkerType, m)
     val walkers = ThunderRW.makeWalkers(0 until n, src, seed = 13L)
     ThunderRW.runLocal(g, app, m, EngineKind.Sequential, t, walkers, cfg)
     walkers.toSeq

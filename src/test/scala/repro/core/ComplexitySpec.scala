@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{GraphFixtures, SparkSpec}
 import repro.memsim.MemConfig
-import repro.sampling.SamplingMethod
+import repro.sampling.{SamplingMethod, StaticTables, WalkerType}
 
 /** Empirical verification of Table 3's complexity claims: total work
   * scales with T (steps), dynamic RW pays the O(d_avg) gather per step,
@@ -16,7 +16,7 @@ class ComplexitySpec extends SparkSpec with GraphFixtures {
   private def cycles(app: RandomWalkApp, m: SamplingMethod.Value, n: Int): (Double, Long) = {
     val rng = new java.util.SplittableRandom(4L)
     val src = Array.fill(n)(rng.nextInt(g.numVertices))
-    val (t, _) = ThunderRW.preprocess(g, app, m, cfg, charge = false)
+    val t = StaticTables.build(g, app.walkerType, m)
     val res = ThunderRW.runLocal(g, app, m, EngineKind.Sequential, t,
       ThunderRW.makeWalkers(0 until n, src, 9L), cfg)
     (res.stats.cycles, res.steps)
@@ -33,7 +33,7 @@ class ComplexitySpec extends SparkSpec with GraphFixtures {
     def instrPerStep(app: RandomWalkApp): (Double, Double) = {
       val rng = new java.util.SplittableRandom(4L)
       val src = Array.fill(300)(rng.nextInt(g.numVertices))
-      val (t, _) = ThunderRW.preprocess(g, app, SamplingMethod.ITS, cfg, charge = false)
+      val t = StaticTables.build(g, app.walkerType, SamplingMethod.ITS)
       val res = ThunderRW.runLocal(g, app, SamplingMethod.ITS, EngineKind.Sequential, t,
         ThunderRW.makeWalkers(0 until 300, src, 9L), cfg)
       (res.stats.instructions.toDouble / res.steps, res.stats.cycles / res.steps)
@@ -88,7 +88,7 @@ class ComplexitySpec extends SparkSpec with GraphFixtures {
     val skew = explicitGraph(3, (0 until 8).map(i => (0, 1 + (i % 2), if (i == 0) 8.0f else 0.5f, 0)), undirect = false)
     def perStep(gr: repro.graph.CSRGraph): Double = {
       val app = new Apps.DeepWalk(1)
-      val t = repro.sampling.StaticTables.build(gr, SamplingMethod.REJ, uniform = false)
+      val t = StaticTables.build(gr, WalkerType.Static, SamplingMethod.REJ)
       val walkers = ThunderRW.makeWalkers(0 until 2000, Array.fill(2000)(0), 9L)
       val res = ThunderRW.runLocal(gr, app, SamplingMethod.REJ, EngineKind.Sequential, t, walkers, cfg)
       res.stats.instructions.toDouble / res.steps

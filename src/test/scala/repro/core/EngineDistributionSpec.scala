@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{GraphFixtures, SparkSpec}
 import repro.memsim.MemConfig
-import repro.sampling.SamplingMethod
+import repro.sampling.{SamplingMethod, StaticTables}
 
 /** End-to-end distribution correctness: a single step taken through the
   * full engine (tables + stage machines) must follow the transition
@@ -16,7 +16,7 @@ class EngineDistributionSpec extends SparkSpec with GraphFixtures {
 
   private def firstStepCounts(app: RandomWalkApp, m: SamplingMethod.Value,
                               kind: EngineKind.Value, v: Int): Map[Int, Int] = {
-    val (t, _) = ThunderRW.preprocess(g, app, m, cfg, charge = false)
+    val t = StaticTables.build(g, app.walkerType, m)
     val walkers = ThunderRW.makeWalkers(0 until N, Array.fill(N)(v), seed = 3L)
     ThunderRW.runLocal(g, app, m, kind, t, walkers, cfg, 32)
     walkers.toSeq.groupBy(_.path(1)).map { case (k, ws) => k -> ws.size }

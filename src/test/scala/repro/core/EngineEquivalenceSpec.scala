@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{GraphFixtures, SparkSpec}
 import repro.memsim.MemConfig
-import repro.sampling.SamplingMethod
+import repro.sampling.{SamplingMethod, StaticTables}
 import repro.graph.CSRGraph
 
 /** Step interleaving is a pure scheduling transformation: for every
@@ -17,7 +17,7 @@ class EngineEquivalenceSpec extends SparkSpec with GraphFixtures {
 
   private def walks(app: RandomWalkApp, m: SamplingMethod.Value,
                     kind: EngineKind.Value, n: Int, ring: Int): Seq[Seq[Int]] = {
-    val (tables, _) = ThunderRW.preprocess(g, app, m, cfg, charge = false)
+    val tables = StaticTables.build(g, app.walkerType, m)
     val rng = new java.util.SplittableRandom(4L)
     val sources = Array.fill(n)(rng.nextInt(g.numVertices))
     val walkers = ThunderRW.makeWalkers(0 until n, sources, seed = 77L)
@@ -86,7 +86,7 @@ class EngineEquivalenceSpec extends SparkSpec with GraphFixtures {
     // vertex 3 has no out-edges
     val app = new Apps.DeepWalk(10)
     val walkers = ThunderRW.makeWalkers(Seq(0), Array(3), seed = 1L)
-    val (t, _) = ThunderRW.preprocess(iso, app, SamplingMethod.ALIAS, cfg, charge = false)
+    val t = StaticTables.build(iso, app.walkerType, SamplingMethod.ALIAS)
     val res = ThunderRW.runLocal(iso, app, SamplingMethod.ALIAS, EngineKind.Interleaved, t, walkers, cfg, 8)
     assert(res.walks.head.toSeq == Seq(3))
   }

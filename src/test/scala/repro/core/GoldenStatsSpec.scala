@@ -18,7 +18,7 @@ class GoldenStatsSpec extends SparkSpec with GraphFixtures {
 
   private def result(app: RandomWalkApp, m: SamplingMethod.Value, kind: EngineKind.Value,
                      hint: PrefetchHint.Value = PrefetchHint.T0): EngineResult = {
-    val (tables, _) = ThunderRW.preprocess(g, app, m, cfg, charge = false)
+    val tables = repro.sampling.StaticTables.build(g, app.walkerType, m)
     val rng = new java.util.SplittableRandom(3L)
     val n = 300
     val sources = Array.fill(n)(rng.nextInt(g.numVertices))

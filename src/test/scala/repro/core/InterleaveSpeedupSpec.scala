@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{GraphFixtures, SparkSpec}
 import repro.memsim.MemConfig
-import repro.sampling.SamplingMethod
+import repro.sampling.{SamplingMethod, StaticTables}
 
 /** The paper's central claims, at test scale: step interleaving cuts
   * simulated cycles and the memory-bound pipeline fraction on workloads
@@ -19,7 +19,7 @@ class InterleaveSpeedupSpec extends SparkSpec with GraphFixtures {
                       n: Int = 600, len: Int = 40) = {
     val app = if (m == SamplingMethod.NAIVE) new Apps.DeepWalkUnbiased(len)
               else new Apps.DeepWalk(len)
-    val (t, _) = ThunderRW.preprocess(big, app, m, cfg, charge = false)
+    val t = StaticTables.build(big, app.walkerType, m)
     val rng = new java.util.SplittableRandom(6L)
     val src = Array.fill(n)(rng.nextInt(big.numVertices))
     val walkers = ThunderRW.makeWalkers(0 until n, src, seed = 9L)
@@ -79,7 +79,7 @@ class InterleaveSpeedupSpec extends SparkSpec with GraphFixtures {
     val small = tinyGraph(n = 800, e = 4000, seed = 61L)
     def run(kind: EngineKind.Value) = {
       val app = new Apps.DeepWalk(40)
-      val (t, _) = ThunderRW.preprocess(small, app, SamplingMethod.ALIAS, cfg, charge = false)
+      val t = StaticTables.build(small, app.walkerType, SamplingMethod.ALIAS)
       val rng = new java.util.SplittableRandom(6L)
       val src = Array.fill(400)(rng.nextInt(small.numVertices))
       ThunderRW.runLocal(small, app, SamplingMethod.ALIAS, kind,

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{GraphFixtures, SparkSpec}
 import repro.memsim.MemConfig
-import repro.sampling.SamplingMethod
+import repro.sampling.{SamplingMethod, StaticTables}
 
 /** Ring-size behaviour (§5.4 / Figure 10's shape): speedup rises with k,
   * peaks at an interior optimum, and degrades once the in-flight lines
@@ -15,7 +15,7 @@ class RingSizeSpec extends SparkSpec with GraphFixtures {
 
   private def cyclesPerStep(ring: Int): Double = {
     val app = new Apps.DeepWalk(40)
-    val (t, _) = ThunderRW.preprocess(big, app, SamplingMethod.ALIAS, cfg, charge = false)
+    val t = StaticTables.build(big, app.walkerType, SamplingMethod.ALIAS)
     val rng = new java.util.SplittableRandom(6L)
     val src = Array.fill(600)(rng.nextInt(big.numVertices))
     val walkers = ThunderRW.makeWalkers(0 until 600, src, seed = 9L)
@@ -47,7 +47,7 @@ class RingSizeSpec extends SparkSpec with GraphFixtures {
 
   test("k=1 interleaving is no better than sequential (prefetch distance too short)") {
     val app = new Apps.DeepWalk(40)
-    val (t, _) = ThunderRW.preprocess(big, app, SamplingMethod.ALIAS, cfg, charge = false)
+    val t = StaticTables.build(big, app.walkerType, SamplingMethod.ALIAS)
     val rng = new java.util.SplittableRandom(6L)
     val src = Array.fill(600)(rng.nextInt(big.numVertices))
     val seqRes = ThunderRW.runLocal(big, app, SamplingMethod.ALIAS, EngineKind.Sequential,

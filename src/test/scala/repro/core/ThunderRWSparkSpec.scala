@@ -7,7 +7,7 @@ import org.scalatest.time.{Seconds, Span}
 import repro.{GraphFixtures, Oracle, SparkSpec}
 import repro.graph.CSRGraph
 import repro.memsim.{MemConfig, SimStats}
-import repro.sampling.SamplingMethod
+import repro.sampling.{SamplingMethod, StaticTables}
 
 /** End-to-end Spark runs: static id blocks per worker, equivalence with the
   * single-worker path, the cached graph broadcast, and DuckDB oracle checks
@@ -40,7 +40,7 @@ class ThunderRWSparkSpec extends SparkSpec with GraphFixtures {
       val sum = sparkRun(n, threads)
       assert(sum.walks.map(_.id) == (0L until n.toLong), "walks not in ascending id order")
       val app = new Apps.DeepWalk(12)
-      val (t, _) = ThunderRW.preprocess(g, app, SamplingMethod.ALIAS, cfg, charge = false)
+      val t = StaticTables.build(g, app.walkerType, SamplingMethod.ALIAS)
       val src = randomSources(g, n)
       val blocks = (0 until threads).map(w => (w * n / threads, (w + 1) * n / threads))
         .filter { case (lo, hi) => hi > lo }
@@ -133,7 +133,7 @@ class ThunderRWSparkSpec extends SparkSpec with GraphFixtures {
     val sum = sparkRun(n, threads = 5)
     val app = new Apps.DeepWalk(12)
     val src = randomSources(g, n)
-    val (t, _) = ThunderRW.preprocess(g, app, SamplingMethod.ALIAS, cfg, charge = false)
+    val t = StaticTables.build(g, app.walkerType, SamplingMethod.ALIAS)
     val walkers = ThunderRW.makeWalkers(0 until n, src, seed = 2021L)
     ThunderRW.runLocal(g, app, SamplingMethod.ALIAS, EngineKind.Interleaved, t, walkers, cfg)
     val local = walkers.map(w => w.id.toLong -> w.path.toSeq).toMap

@@ -79,12 +79,12 @@ class GraphAlgosSpec extends SparkSpec with GraphFixtures {
 
   test("BFS is less memory bound than sequential random walk on the same graph") {
     import repro.core._
-    import repro.sampling.SamplingMethod
+    import repro.sampling.{SamplingMethod, StaticTables}
     val g = tinyGraph(n = 30000, e = 200000, seed = 101L)
     val hub = (0 until g.numVertices).maxBy(g.degree)
     val bfsT = GraphAlgos.bfsStats(g, hub, cfg).tmam
     val app = new Apps.DeepWalk(40)
-    val (t, _) = ThunderRW.preprocess(g, app, SamplingMethod.ALIAS, cfg, charge = false)
+    val t = StaticTables.build(g, app.walkerType, SamplingMethod.ALIAS)
     val rng = new java.util.SplittableRandom(5L)
     val src = Array.fill(500)(rng.nextInt(g.numVertices))
     val res = ThunderRW.runLocal(g, app, SamplingMethod.ALIAS, EngineKind.Sequential,
@@ -95,12 +95,12 @@ class GraphAlgosSpec extends SparkSpec with GraphFixtures {
 
   test("BFS achieves higher bandwidth than sequential random walk") {
     import repro.core._
-    import repro.sampling.SamplingMethod
+    import repro.sampling.{SamplingMethod, StaticTables}
     val g = tinyGraph(n = 30000, e = 200000, seed = 101L)
     val hub = (0 until g.numVertices).maxBy(g.degree)
     val bfsS = GraphAlgos.bfsStats(g, hub, cfg)
     val app = new Apps.DeepWalk(40)
-    val (t, _) = ThunderRW.preprocess(g, app, SamplingMethod.ALIAS, cfg, charge = false)
+    val t = StaticTables.build(g, app.walkerType, SamplingMethod.ALIAS)
     val rng = new java.util.SplittableRandom(5L)
     val src = Array.fill(500)(rng.nextInt(g.numVertices))
     val res = ThunderRW.runLocal(g, app, SamplingMethod.ALIAS, EngineKind.Sequential,
