@@ -4,12 +4,12 @@ import repro.graph.CSRGraph
 import repro.memsim.{MemSim, PrefetchHint, SimLayout}
 import repro.sampling.{InitPhase, SamplingMethod, StaticTables, WalkerType}
 
-/** The Gather–Move–Update engine as one SDG stage machine (Table 4), run
-  * under the schedule `kind`:
+/** The Gather–Move–Update engine as one SDG stage machine (Table 4),
+  * driven by one slot loop (`run`) under the schedule `kind`:
   *
-  *  - Sequential (Algorithm 2, wo/si): one slot drives each walker to
-  *    completion. Every step begins at the degree stage; no prefetch is
-  *    issued and no switch cost is charged.
+  *  - Sequential (Algorithm 2, wo/si): the loop with one slot, which runs
+  *    each walker to completion. Every step begins at the degree stage; no
+  *    prefetch is issued and no switch cost is charged.
   *  - Interleaved (Algorithm 4/5, w/si): a ring of `taskRing` slots holds
   *    in-flight walkers. Each visit to a slot executes exactly one stage and
   *    issues the software prefetch for the next stage's load, then control
@@ -29,7 +29,8 @@ import repro.sampling.{InitPhase, SamplingMethod, StaticTables, WalkerType}
   * Phases follow one rule under every schedule: the Weight UDF is
   * `computeP`, dynamic init is `init`, the rest of Move is `gen`, and the
   * switch charge, the degree read, the step's output and Update, and
-  * O-REJ's max weight and accept test are `other`.
+  * O-REJ's max weight and accept test are `other`. One register holds the
+  * open phase: `enter` closes it and opens the next.
   */
 private[core] class SdgEngine(
     g: CSRGraph, app: RandomWalkApp, sampling: SamplingMethod.Value,
@@ -51,13 +52,15 @@ private[core] class SdgEngine(
   private val interleaved = kind != EngineKind.Sequential
   private val chainAll = kind == EngineKind.Amac
   private val firstStage = if (interleaved) S_PF_OFF else S_DEG
+  private val ring = if (interleaved) taskRing else 1
 
-  /** Switch cost: coupled non-cycle stages are cheap; decoupled cycle
-    * stages carry ring-state maintenance; AMAC pays the full state machine
-    * on every stage (Table 13's instruction-count gap).
+  /** Switch cost: none without a ring; coupled non-cycle stages are cheap;
+    * decoupled cycle stages carry ring-state maintenance; AMAC pays the
+    * full state machine on every stage (Table 13's instruction-count gap).
     */
   @inline private def switchCost(s: Int): Int =
-    if (chainAll) sim.cfg.switchInstr + 6
+    if (!interleaved) 0
+    else if (chainAll) sim.cfg.switchInstr + 6
     else if (s == S_ITS_SEARCH || s == S_REJ_TRY || s == S_OREJ_TRY) sim.cfg.switchInstr + 4
     else sim.cfg.switchInstr
 
@@ -81,44 +84,26 @@ private[core] class SdgEngine(
     var buf: Array[Double] = _
   }
 
-  private var tComputeP = 0.0
-  private var tInit = 0.0
-  private var tGen = 0.0
-  // Cycle count at which the open gen window began; negative when closed.
-  // A sequential step keeps one window open across its Move stages; the
-  // ring closes it at the end of every visit.
-  private var genFrom = -1.0
+  // Cycles per phase (P_COMPUTE, P_INIT, P_GEN); `other` is the remainder.
+  private val phaseCycles = new Array[Double](3)
+  private var phase = P_OTHER
+  private var phaseFrom = 0.0
   private var gatherSlots = 0
 
-  @inline private def openGen(): Unit = genFrom = sim.cycles
-  @inline private def closeGen(): Unit =
-    if (genFrom >= 0) { tGen += sim.cycles - genFrom; genFrom = -1.0 }
-
-  def run(walkers: Array[Walker]): EngineResult = {
-    val t0 = sim.snapshot()
-    if (interleaved) runRing(walkers)
-    else {
-      val s = new Slot()
-      var i = 0
-      while (i < walkers.length) {
-        val w = walkers(i)
-        s.w = w; s.stage = S_DEG
-        while (!w.done) stage(s)
-        i += 1
-      }
-    }
-    val stats = sim.snapshot() - t0
-    val steps = walkers.map(_.length.toLong).sum
-    val other = math.max(0.0, stats.cycles - tComputeP - tInit - tGen)
-    EngineResult(walkers.map(_.path), stats, steps,
-      PhaseBreakdown(tComputeP, tInit, tGen, other))
+  /** Close the open phase, adding its cycles, and open `p`. */
+  @inline private def enter(p: Int): Unit = {
+    if (phase != P_OTHER) phaseCycles(phase) += sim.cycles - phaseFrom
+    phase = p; phaseFrom = sim.cycles
   }
 
-  private def runRing(walkers: Array[Walker]): Unit = {
-    val k = math.min(taskRing, walkers.length)
-    val slots = new Array[Slot](k)
-    var i = 0
-    while (i < k) { slots(i) = new Slot(); slots(i).w = walkers(i); i += 1 }
+  /** The slot loop: `ring` slots round-robin, each refilled with the next
+    * walker at `firstStage`. A visit pays the switch charge, reopens `gen`
+    * if it resumes a Move stage, runs `stage` and leaves `other` open.
+    */
+  def run(walkers: Array[Walker]): EngineResult = {
+    val t0 = sim.snapshot()
+    val k = math.min(ring, walkers.length)
+    val slots = Array.tabulate(k) { i => val s = new Slot(); s.w = walkers(i); s }
     var next = k
     var live = k
     var idx = 0
@@ -126,23 +111,27 @@ private[core] class SdgEngine(
       val s = slots(idx)
       if (s.w != null) {
         sim.compute(switchCost(s.stage))
-        if (s.stage > S_DEG) openGen()
+        if (s.stage > S_DEG) enter(P_GEN)
         stage(s)
-        closeGen()
+        enter(P_OTHER)
         if (s.w.done) {
           if (next < walkers.length) {
-            s.w = walkers(next); next += 1; s.stage = S_PF_OFF
+            s.w = walkers(next); next += 1; s.stage = firstStage
           } else { s.w = null; live -= 1 }
         }
       }
       idx += 1
       if (idx == k) idx = 0
     }
+    val stats = sim.snapshot() - t0
+    val steps = walkers.map(_.length.toLong).sum
+    val other = math.max(0.0, stats.cycles - phaseCycles(P_COMPUTE) - phaseCycles(P_INIT) - phaseCycles(P_GEN))
+    EngineResult(walkers.map(_.path), stats, steps,
+      PhaseBreakdown(phaseCycles(P_COMPUTE), phaseCycles(P_INIT), phaseCycles(P_GEN), other))
   }
 
   /** Execute one stage of one slot. The sequential schedule goes on with
-    * the walker's next stage in the same call, which spares a call per
-    * stage; a stage that returns early leaves the rest to the caller.
+    * the walker's next stage in the same call, to the walker's end.
     */
   private def stage(s: Slot): Unit = {
     val w = s.w
@@ -156,28 +145,30 @@ private[core] class SdgEngine(
         val v = w.cur
         sim.read(SimLayout.offset(v)); sim.read(SimLayout.offset(v + 1)); sim.compute(2)
         s.d = g.degree(v); s.base = g.edgeBegin(v)
-        if (s.d == 0) { w.done = true; return }
-        if (needsGather) { gatherAndInit(s); return }
-        if (sampling == SamplingMethod.OREJ) { s.mx = orejMax; sim.compute(2) }
-        openGen()
-        sampling match {
-          case SamplingMethod.NAIVE =>
-            s.x = w.rng.nextInt(s.d); sim.compute(8)
-            choose(s, s.base + s.x)
-          case SamplingMethod.ALIAS =>
-            s.x = w.rng.nextInt(s.d); sim.compute(8)
-            s.y = w.rng.nextDouble(); sim.compute(8)
-            prefetch(SimLayout.aliasPair(s.base + s.x))
-            s.stage = S_ALIAS_PICK
-          case SamplingMethod.ITS =>
-            prefetch(SimLayout.cdf(s.base + s.d - 1))
-            s.stage = S_ITS_TOTAL
-          case SamplingMethod.REJ =>
-            prefetch(SimLayout.rejMax(v))
-            s.stage = S_REJ_PSTAR
-          case SamplingMethod.OREJ =>
-            orejDraw(s)
-            s.stage = S_OREJ_TRY
+        if (s.d == 0) w.done = true
+        else if (needsGather) gatherAndInit(s)
+        else {
+          if (sampling == SamplingMethod.OREJ) { s.mx = orejMax; sim.compute(2) }
+          enter(P_GEN)
+          sampling match {
+            case SamplingMethod.NAIVE =>
+              s.x = w.rng.nextInt(s.d); sim.compute(8)
+              choose(s, s.base + s.x)
+            case SamplingMethod.ALIAS =>
+              s.x = w.rng.nextInt(s.d); sim.compute(8)
+              s.y = w.rng.nextDouble(); sim.compute(8)
+              prefetch(SimLayout.aliasPair(s.base + s.x))
+              s.stage = S_ALIAS_PICK
+            case SamplingMethod.ITS =>
+              prefetch(SimLayout.cdf(s.base + s.d - 1))
+              s.stage = S_ITS_TOTAL
+            case SamplingMethod.REJ =>
+              prefetch(SimLayout.rejMax(v))
+              s.stage = S_REJ_PSTAR
+            case SamplingMethod.OREJ =>
+              orejDraw(s)
+              s.stage = S_OREJ_TRY
+          }
         }
 
       case S_FIN =>
@@ -217,13 +208,12 @@ private[core] class SdgEngine(
       case S_OREJ_TRY =>
         val e = s.base + s.x
         sim.read(SimLayout.neighbor(e))
-        closeGen()
-        val c0 = sim.cycles
+        enter(P_COMPUTE)
         val p = app.weight(ctx, g, w, e)
-        tComputeP += sim.cycles - c0
+        enter(P_OTHER)
         sim.compute(2)
         if (s.y < p) finishStep(s, e)
-        else { sim.mispredict(0.7); openGen(); orejDraw(s) }
+        else { sim.mispredict(0.7); enter(P_GEN); orejDraw(s) }
     } while (!interleaved && !w.done)
   }
 
@@ -277,29 +267,25 @@ private[core] class SdgEngine(
       s.buf = new Array[Double](g.maxDegree + 1)
       s.gatherId = gatherSlots; gatherSlots += 1
     }
-    val c0 = sim.cycles
+    enter(P_COMPUTE)
     val sum = gather(s.gatherId, w, s.base, s.d, s.buf)
-    tComputeP += sim.cycles - c0
+    enter(P_INIT)
     if (sum <= 0.0) { w.done = true; return }
-    val i0 = sim.cycles
     sampling match {
       case SamplingMethod.ITS =>
         val total = initCdfLocal(s.d, s.buf)
-        tInit += sim.cycles - i0
-        openGen()
+        enter(P_GEN)
         startSearch(s, total)
       case SamplingMethod.ALIAS =>
         val (h, second) = StaticTables.buildAlias(java.util.Arrays.copyOf(s.buf, s.d), sum, sim)
-        tInit += sim.cycles - i0
-        openGen()
+        enter(P_GEN)
         s.x = w.rng.nextInt(s.d); sim.compute(8)
         s.y = w.rng.nextDouble(); sim.compute(8)
         sim.read(gatherAddr(s.gatherId, s.x)); sim.compute(4)
         choose(s, s.base + (if (s.y < h(s.x) || second(s.x) < 0) s.x else second(s.x)))
       case SamplingMethod.REJ =>
         s.mx = initMaxLocal(s.d, s.buf)
-        tInit += sim.cycles - i0
-        openGen()
+        enter(P_GEN)
         rejDraw(s)
         s.stage = S_REJ_TRY
     }
@@ -350,7 +336,7 @@ private[core] class SdgEngine(
     * slot's next step starts over.
     */
   private def finishStep(s: Slot, e: Int): Unit = {
-    closeGen()
+    enter(P_OTHER)
     val w = s.w
     w.move(g.neighbor(e))
     sim.streamWrite(SimLayout.output(w.id, w.length))
@@ -385,6 +371,12 @@ private object SdgEngine {
   final val S_REJ_PSTAR = 6
   final val S_REJ_TRY = 7 // cycle
   final val S_OREJ_TRY = 8 // cycle
+
+  // Phases (Table 2); P_OTHER has no slot in `phaseCycles`.
+  final val P_COMPUTE = 0
+  final val P_INIT = 1
+  final val P_GEN = 2
+  final val P_OTHER = 3
 }
 
 /** Step interleaving (`amac = false`) or AMAC (`amac = true`) over a ring

@@ -7,8 +7,8 @@ import org.apache.spark.sql.types._
 /** Spark DataFrame generators for the paper's twelve dataset analogues.
   *
   * Real graphs (SNAP / network-repository downloads) are substituted by
-  * deterministic power-law synthetics scaled down ~100-800x, with the
-  * simulated cache hierarchy scaled by the same factor (see DESIGN.md §2).
+  * deterministic power-law synthetics scaled down 100-800x (each spec's
+  * `scale`), all simulated on the one default `MemConfig` (see DESIGN.md §2).
   * Each spec matches the original's average degree, skew class,
   * bipartite-ness and label/weight scheme; edges carry a uniform [1, 5)
   * weight and a label drawn from `nLabels` distinct labels (1327 for wk),

@@ -3,9 +3,9 @@ package repro.memsim
 /** Configuration of the simulated memory hierarchy and pipeline cost model.
   *
   * Capacities are scaled down from the paper's Xeon W-2155 (32 KB / 1 MB /
-  * 13.75 MB) by the same factor as the dataset analogues are scaled from
-  * the real graphs, so the working-set : LLC ratio — the quantity that
-  * drives all of the paper's locality effects — is preserved.
+  * 13.75 MB) to 8 KB / 32 KB / 512 KB for every dataset, while the analogues
+  * are scaled 1/100 to 1/800 (`GraphGen.datasets`): each analogue is less
+  * LLC-bound than its original, by about scale / 27 (EXPERIMENTS.md).
   *
   * Latencies are in core cycles and close to Skylake: L1 ~4, L2 ~14,
   * L3 ~50, DRAM ~220. Sequential (hardware-prefetched) streams pay an

@@ -17,13 +17,13 @@ class GoldenStatsSpec extends SparkSpec with GraphFixtures {
   private val cfg = MemConfig()
 
   private def result(app: RandomWalkApp, m: SamplingMethod.Value, kind: EngineKind.Value,
-                     hint: PrefetchHint.Value = PrefetchHint.T0): EngineResult = {
+                     hint: PrefetchHint.Value = PrefetchHint.T0,
+                     n: Int = 300, ring: Int = 64): EngineResult = {
     val tables = repro.sampling.StaticTables.build(g, app.walkerType, m)
     val rng = new java.util.SplittableRandom(3L)
-    val n = 300
     val sources = Array.fill(n)(rng.nextInt(g.numVertices))
     val walkers = ThunderRW.makeWalkers(0 until n, sources, seed = 99L)
-    ThunderRW.runLocal(g, app, m, kind, tables, walkers, cfg, taskRing = 64, hint = hint)
+    ThunderRW.runLocal(g, app, m, kind, tables, walkers, cfg, taskRing = ring, hint = hint)
   }
 
   private def run(app: RandomWalkApp, m: SamplingMethod.Value, kind: EngineKind.Value,
@@ -39,6 +39,7 @@ class GoldenStatsSpec extends SparkSpec with GraphFixtures {
     ("Node2Vec/OREJ", () => new Apps.Node2Vec(2.0, 0.5, 20), SamplingMethod.OREJ),
     ("Node2Vec/ALIAS-dyn", () => new Apps.Node2Vec(2.0, 0.5, 20), SamplingMethod.ALIAS),
     ("MetaPath/ITS-dyn", () => new Apps.MetaPath(Array(0, 2, 1, 4, 3), 20), SamplingMethod.ITS),
+    ("MetaPath/REJ-dyn", () => new Apps.MetaPath(Array(0, 2, 1, 4, 3), 20), SamplingMethod.REJ),
   )
 
   private val cases: Seq[(String, () => SimStats)] =
@@ -111,40 +112,77 @@ class GoldenStatsSpec extends SparkSpec with GraphFixtures {
     ("MetaPath/ITS-dyn/Sequential", 574296.5, 426401L, 213200.5, 292036.0, 69060.0, 3305L),
     ("MetaPath/ITS-dyn/Interleaved", 695127.0, 548608L, 274304.0, 351763.0, 69060.0, 5364L),
     ("MetaPath/ITS-dyn/Amac", 727880.0, 614226L, 307113.0, 351707.0, 69060.0, 5364L),
+    ("MetaPath/REJ-dyn/Sequential", 771059.5, 675289L, 337644.5, 293744.0, 139671.0, 3296L),
+    ("MetaPath/REJ-dyn/Interleaved", 984784.0, 856685L, 428342.5, 416770.5, 139671.0, 4827L),
+    ("MetaPath/REJ-dyn/Amac", 1024226.0, 935637L, 467818.5, 416736.5, 139671.0, 4827L),
     ("DeepWalk/ALIAS/Interleaved/T1", 195137.5, 282000L, 141000.0, 54137.5, 0.0, 8751L),
     ("DeepWalk/ALIAS/Interleaved/T2", 233097.5, 282000L, 141000.0, 92097.5, 0.0, 8751L),
     ("DeepWalk/ALIAS/Interleaved/NTA", 415331.0, 282000L, 141000.0, 274331.0, 0.0, 12381L),
   )
 
-  // (case, computeP, init, gen, other). Sequential pins all four phases bit
-  // for bit. The ring schedules pin computeP and init bit for bit, and
-  // gen + other to 1e-9 relative: their Move/other split may move, their sum
-  // may not.
+  // (case, computeP, init, gen, other), bit for bit under every schedule.
   private val goldenPhases: Seq[(String, Double, Double, Double, Double)] = Seq(
     ("PPR/NAIVE/Sequential", 0.0, 0.0, 183813.0, 45777.0),
-    ("PPR/NAIVE/Interleaved", 0.0, 0.0, 35296.0, 0.0),
-    ("PPR/NAIVE/Amac", 0.0, 0.0, 46811.0, 0.0),
+    ("PPR/NAIVE/Interleaved", 0.0, 0.0, 12574.5, 22721.5),
+    ("PPR/NAIVE/Amac", 0.0, 0.0, 12423.0, 34388.0),
     ("DeepWalk/ALIAS/Sequential", 0.0, 0.0, 688756.0, 109052.0),
-    ("DeepWalk/ALIAS/Interleaved", 0.0, 0.0, 176157.5, 0.0),
-    ("DeepWalk/ALIAS/Amac", 0.0, 0.0, 230146.5, 0.0),
+    ("DeepWalk/ALIAS/Interleaved", 0.0, 0.0, 88184.0, 87973.5),
+    ("DeepWalk/ALIAS/Amac", 0.0, 0.0, 88184.0, 141962.5),
     ("DeepWalk/ITS/Sequential", 0.0, 0.0, 1653250.0, 167584.0),
-    ("DeepWalk/ITS/Interleaved", 0.0, 0.0, 577662.0, 0.0),
-    ("DeepWalk/ITS/Amac", 0.0, 0.0, 671933.0, 0.0),
+    ("DeepWalk/ITS/Interleaved", 0.0, 0.0, 381393.0, 196269.0),
+    ("DeepWalk/ITS/Amac", 0.0, 0.0, 381378.5, 290554.5),
     ("DeepWalk/REJ/Sequential", 0.0, 0.0, 1209707.5, 160212.0),
-    ("DeepWalk/REJ/Interleaved", 0.0, 0.0, 370893.5, 0.0),
-    ("DeepWalk/REJ/Amac", 0.0, 0.0, 451819.5, 0.0),
+    ("DeepWalk/REJ/Interleaved", 0.0, 0.0, 223758.0, 147135.5),
+    ("DeepWalk/REJ/Amac", 0.0, 0.0, 223632.0, 228187.5),
     ("DeepWalk/OREJ/Sequential", 492372.5, 0.0, 571260.5, 200147.5),
-    ("DeepWalk/OREJ/Interleaved", 84856.5, 0.0, 372554.0, 0.0),
-    ("DeepWalk/OREJ/Amac", 84856.5, 0.0, 418380.0, 0.0),
+    ("DeepWalk/OREJ/Interleaved", 84856.5, 0.0, 173457.5, 199096.5),
+    ("DeepWalk/OREJ/Amac", 84856.5, 0.0, 173453.5, 244926.5),
     ("Node2Vec/OREJ/Sequential", 226998.40000038032, 0.0, 445110.0, 138642.0),
-    ("Node2Vec/OREJ/Interleaved", 310871.3999999229, 0.0, 257605.99999999994, 0.0),
-    ("Node2Vec/OREJ/Amac", 310870.4000000079, 0.0, 300015.99999999994, 0.0),
+    ("Node2Vec/OREJ/Interleaved", 310871.3999999229, 0.0, 114736.99999999994, 142869.0),
+    ("Node2Vec/OREJ/Amac", 310870.4000000079, 0.0, 114736.0, 185279.99999999994),
     ("Node2Vec/ALIAS-dyn/Sequential", 1564822.999993004, 1085714.0, 66000.0, 133432.0),
-    ("Node2Vec/ALIAS-dyn/Interleaved", 1704682.9999895536, 1085714.0, 267336.00000000023, 0.0),
-    ("Node2Vec/ALIAS-dyn/Amac", 1704682.9999888085, 1085713.9999999998, 321320.0, 0.0),
+    ("Node2Vec/ALIAS-dyn/Interleaved", 1704682.9999895536, 1085714.0, 138328.0, 129008.00000000023),
+    ("Node2Vec/ALIAS-dyn/Amac", 1704682.9999888085, 1085713.9999999998, 138328.0, 182992.0),
     ("MetaPath/ITS-dyn/Sequential", 340561.5, 34296.0, 105549.5, 93889.5),
-    ("MetaPath/ITS-dyn/Interleaved", 347869.5, 34296.0, 312961.5, 0.0),
-    ("MetaPath/ITS-dyn/Amac", 347869.5, 34296.0, 345714.5, 0.0),
+    ("MetaPath/ITS-dyn/Interleaved", 347869.5, 34296.0, 225594.0, 87367.5),
+    ("MetaPath/ITS-dyn/Amac", 347869.5, 34296.0, 225594.0, 120120.5),
+    ("MetaPath/REJ-dyn/Sequential", 344255.5, 34623.0, 298542.0, 93639.0),
+    ("MetaPath/REJ-dyn/Interleaved", 350531.5, 34623.0, 486898.5, 112731.0),
+    ("MetaPath/REJ-dyn/Amac", 350531.5, 34623.0, 486895.0, 152176.5),
+  )
+
+  // The slot loop's edges under every schedule: no walker, one walker, and
+  // 300 walkers on a ring of one slot. DeepWalk/OREJ runs the Weight UDF
+  // inside Move; MetaPath/REJ-dyn gathers, inits and dead-ends.
+  private val edges: Seq[(String, Int, Int)] = Seq(("n=0", 0, 64), ("n=1", 1, 64), ("ring=1", 300, 1))
+  private val edgeApps = apps.filter(a => a._1 == "DeepWalk/OREJ" || a._1 == "MetaPath/REJ-dyn")
+
+  private val edgeCases: Seq[(String, () => EngineResult)] =
+    for ((name, mk, m) <- edgeApps; (edge, n, ring) <- edges; kind <- EngineKind.values.toSeq)
+      yield (s"$name/$edge/$kind", () => result(mk(), m, kind, n = n, ring = ring))
+
+  // (case, cycles, instructions, computeCycles, memStallCycles, badSpecCycles, dramLines,
+  //  computeP, init, gen, other)
+  private val goldenEdges
+      : Seq[(String, Double, Long, Double, Double, Double, Long, Double, Double, Double, Double)] = Seq(
+    ("DeepWalk/OREJ/n=0/Sequential", 0.0, 0L, 0.0, 0.0, 0.0, 0L, 0.0, 0.0, 0.0, 0.0),
+    ("DeepWalk/OREJ/n=0/Interleaved", 0.0, 0L, 0.0, 0.0, 0.0, 0L, 0.0, 0.0, 0.0, 0.0),
+    ("DeepWalk/OREJ/n=0/Amac", 0.0, 0L, 0.0, 0.0, 0.0, 0L, 0.0, 0.0, 0.0, 0.0),
+    ("DeepWalk/OREJ/n=1/Sequential", 12299.0, 1020L, 510.0, 11600.0, 189.0, 60L, 4019.0, 0.0, 4323.0, 3957.0),
+    ("DeepWalk/OREJ/n=1/Interleaved", 8041.0, 1600L, 800.0, 7052.0, 189.0, 60L, 19.0, 0.0, 4261.0, 3761.0),
+    ("DeepWalk/OREJ/n=1/Amac", 8131.0, 1916L, 958.0, 6984.0, 189.0, 60L, 19.0, 0.0, 4241.0, 3871.0),
+    ("DeepWalk/OREJ/ring=1/Sequential", 1263780.5, 275300L, 137650.0, 1085548.0, 40582.5, 3745L, 492372.5, 0.0, 571260.5, 200147.5),
+    ("DeepWalk/OREJ/ring=1/Interleaved", 809072.5, 433950L, 216975.0, 551515.0, 40582.5, 3745L, 4964.5, 0.0, 550190.5, 253917.5),
+    ("DeepWalk/OREJ/ring=1/Amac", 836996.5, 525680L, 262840.0, 533574.0, 40582.5, 3745L, 4964.5, 0.0, 544003.5, 288028.5),
+    ("MetaPath/REJ-dyn/n=0/Sequential", 0.0, 0L, 0.0, 0.0, 0.0, 0L, 0.0, 0.0, 0.0, 0.0),
+    ("MetaPath/REJ-dyn/n=0/Interleaved", 0.0, 0L, 0.0, 0.0, 0.0, 0L, 0.0, 0.0, 0.0, 0.0),
+    ("MetaPath/REJ-dyn/n=0/Amac", 0.0, 0L, 0.0, 0.0, 0.0, 0L, 0.0, 0.0, 0.0, 0.0),
+    ("MetaPath/REJ-dyn/n=1/Sequential", 4333.5, 1981L, 990.5, 3112.0, 231.0, 53L, 1391.5, 129.0, 556.0, 2257.0),
+    ("MetaPath/REJ-dyn/n=1/Interleaved", 4524.5, 2429L, 1214.5, 3079.0, 231.0, 53L, 1391.5, 129.0, 577.0, 2427.0),
+    ("MetaPath/REJ-dyn/n=1/Amac", 4619.5, 2685L, 1342.5, 3046.0, 231.0, 53L, 1391.5, 129.0, 577.0, 2522.0),
+    ("MetaPath/REJ-dyn/ring=1/Sequential", 771059.5, 675289L, 337644.5, 293744.0, 139671.0, 3296L, 344255.5, 34623.0, 298542.0, 93639.0),
+    ("MetaPath/REJ-dyn/ring=1/Interleaved", 852696.5, 856685L, 428342.5, 284683.0, 139671.0, 3296L, 344255.5, 34623.0, 307655.0, 166163.0),
+    ("MetaPath/REJ-dyn/ring=1/Amac", 885659.5, 935637L, 467818.5, 278170.0, 139671.0, 3296L, 344255.5, 34623.0, 307655.0, 199126.0),
   )
 
   private def same(a: Double, b: Double): Boolean =
@@ -157,15 +195,26 @@ class GoldenStatsSpec extends SparkSpec with GraphFixtures {
     assert(golden.map(_._1) == cases.map(_._1))
   }
 
+  private def assertStats(s: SimStats, cyc: Double, ins: Long, comp: Double, mem: Double,
+                          bad: Double, dram: Long): Unit = {
+    assert(same(s.cycles, cyc), s"cycles ${s.cycles} != $cyc")
+    assert(s.instructions == ins, s"instructions ${s.instructions} != $ins")
+    assert(same(s.computeCycles, comp), s"computeCycles ${s.computeCycles} != $comp")
+    assert(same(s.memStallCycles, mem), s"memStallCycles ${s.memStallCycles} != $mem")
+    assert(same(s.badSpecCycles, bad), s"badSpecCycles ${s.badSpecCycles} != $bad")
+    assert(s.dramLines == dram, s"dramLines ${s.dramLines} != $dram")
+  }
+
+  private def assertPhases(p: PhaseBreakdown, cp: Double, init: Double, gen: Double, other: Double): Unit = {
+    assert(same(p.computeP, cp), s"computeP ${p.computeP} != $cp")
+    assert(same(p.init, init), s"init ${p.init} != $init")
+    assert(same(p.gen, gen), s"gen ${p.gen} != $gen")
+    assert(same(p.other, other), s"other ${p.other} != $other")
+  }
+
   for (((name, f), (_, cyc, ins, comp, mem, bad, dram)) <- cases.zip(golden)) {
     test(s"golden stats: $name") {
-      val s = f()
-      assert(same(s.cycles, cyc), s"cycles ${s.cycles} != $cyc")
-      assert(s.instructions == ins, s"instructions ${s.instructions} != $ins")
-      assert(same(s.computeCycles, comp), s"computeCycles ${s.computeCycles} != $comp")
-      assert(same(s.memStallCycles, mem), s"memStallCycles ${s.memStallCycles} != $mem")
-      assert(same(s.badSpecCycles, bad), s"badSpecCycles ${s.badSpecCycles} != $bad")
-      assert(s.dramLines == dram, s"dramLines ${s.dramLines} != $dram")
+      assertStats(f(), cyc, ins, comp, mem, bad, dram)
     }
   }
 
@@ -175,13 +224,27 @@ class GoldenStatsSpec extends SparkSpec with GraphFixtures {
 
   for (((name, f), (_, cp, init, gen, other)) <- engineCases.zip(goldenPhases)) {
     test(s"golden phases: $name") {
-      val p = f().phases
-      assert(same(p.computeP, cp), s"computeP ${p.computeP} != $cp")
-      assert(same(p.init, init), s"init ${p.init} != $init")
-      if (name.endsWith("/Sequential")) {
-        assert(same(p.gen, gen), s"gen ${p.gen} != $gen")
-        assert(same(p.other, other), s"other ${p.other} != $other")
-      } else assert(close(p.gen + p.other, gen + other), s"gen + other ${p.gen + p.other} != ${gen + other}")
+      assertPhases(f().phases, cp, init, gen, other)
+    }
+  }
+
+  test("golden edge table lists every edge case") {
+    assert(goldenEdges.map(_._1) == edgeCases.map(_._1))
+  }
+
+  for (((name, f), (_, cyc, ins, comp, mem, bad, dram, cp, init, gen, other)) <- edgeCases.zip(goldenEdges)) {
+    test(s"golden edge: $name") {
+      val r = f()
+      assertStats(r.stats, cyc, ins, comp, mem, bad, dram)
+      assertPhases(r.phases, cp, init, gen, other)
+    }
+  }
+
+  for ((name, mk, m) <- edgeApps; (edge, n, ring) <- edges) {
+    test(s"edge walks agree across schedules: $name/$edge") {
+      val walks = EngineKind.values.toSeq.map(k => result(mk(), m, k, n = n, ring = ring).walks.map(_.toSeq).toSeq)
+      assert(walks.forall(_.length == n))
+      assert(walks.forall(_ == walks.head))
     }
   }
 
